@@ -7,7 +7,7 @@ leaked by the I/Q imbalance.  Between blocks the oscillator phase random-walks
 and, in the fast mode, the physical phase is redrawn uniformly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "initial_state",
     "evolve",
     "propagate_block",
+    "propagate_blocks",
 ]
 
 FADING_MODES = ("fast_block_phase", "quasi_static")
@@ -72,7 +73,7 @@ def evolve(state: ChannelState, mode: str, tx: TxImpairments, rng: np.random.Gen
     if mode == "fast_block_phase":
         gain = abs(state.gain) * np.exp(1j * draw_initial_phase(rng))
     theta = advance_phase_noise(state.oscillator_phase, tx, rng)
-    return replace(state, gain=gain, oscillator_phase=theta)
+    return ChannelState(gain=gain, oscillator_phase=theta)
 
 
 def propagate_block(
@@ -89,8 +90,20 @@ def propagate_block(
     is the actual received-signal power averaged over the block.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    hvec = state.equivalent(tx)
-    clean = symbols * hvec[0] + np.conj(symbols) * hvec[1]
-    received_power = float(np.mean(np.abs(clean) ** 2))
-    noise = sample_rx_distortion_noise(received_power, rx, rng, size=symbols.shape)
-    return clean + noise
+    rows = propagate_blocks(symbols.reshape(1, -1), state.equivalent(tx)[None], rx, [rng])
+    return rows[0].reshape(symbols.shape)
+
+
+def propagate_blocks(symbols, channels, rx: RxImpairments, rngs) -> np.ndarray:
+    """Stacked form of :func:`propagate_block`: row f of ``symbols`` passes
+    through the two-entry channel ``channels[f]`` and takes its noise from
+    ``rngs[f]``."""
+    symbols = np.asarray(symbols, dtype=complex)
+    channels = np.asarray(channels, dtype=complex)
+    clean = symbols * channels[:, :1] + np.conj(symbols) * channels[:, 1:]
+    received_power = np.mean(np.abs(clean) ** 2, axis=1)
+    noise = [
+        sample_rx_distortion_noise(power, rx, rng, size=symbols.shape[1:])
+        for power, rng in zip(received_power.tolist(), rngs)
+    ]
+    return clean + np.array(noise)

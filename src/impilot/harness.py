@@ -2,10 +2,13 @@
 
 A run sweeps per-bit SNR points for one receiver scheme, simulating frames of
 sequentially-dependent blocks (the channel estimate of block k seeds the
-detection of block k+1).  Results are a pure function of (config, seed): the
+detection of block k+1).  Frames are independent, so the frames of a batch
+run in lockstep: block k of every frame goes through the receiver as one
+stack before block k+1.  Results are a pure function of (config, seed): the
 per-frame random stream is derived from the master seed and the frame's grid
 coordinates, batches have a fixed size, and tallies merge in frame order, so
-splitting frames across workers cannot change a single output byte.
+neither the lockstep width nor splitting frames across workers can change a
+single output byte.
 """
 
 import hashlib
@@ -17,7 +20,13 @@ from functools import partial
 
 import numpy as np
 
-from .channel import FADING_MODES, evolve, initial_state, propagate_block
+from .channel import (
+    FADING_MODES,
+    evolve,
+    initial_state,
+    propagate_block,
+    propagate_blocks,
+)
 from .constellation import (
     Constellation,
     build_data_alphabet,
@@ -25,10 +34,24 @@ from .constellation import (
     map_bits_array,
     scaled,
 )
-from .im_codec import BlockGeometry, assemble_block, se_conventional, se_proposed
+# assemble_block and turbo_receive, the one-block forms, are not called here;
+# they stay importable from this module for tools that wrap its calls by name.
+from .im_codec import (  # noqa: F401
+    BlockGeometry,
+    assemble_block,
+    assemble_blocks,
+    se_conventional,
+    se_proposed,
+)
 from .impairments import RxImpairments, TxImpairments
-from .rx_classical import detect_symbols, ls_estimate, mmse_estimate
-from .rx_turbo import DNP_MODES, turbo_receive
+from .rx_classical import (
+    DegeneratePilotSetError,
+    detect_symbols,
+    ls_estimate,
+    mmse_estimate,
+    solve_two_path_ls_rows,
+)
+from .rx_turbo import DNP_MODES, turbo_receive, turbo_receive_frames  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -87,7 +110,13 @@ class SystemConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ebn0_db", tuple(float(v) for v in self.ebn0_db))
+        try:
+            ebn0_db = tuple(float(v) for v in self.ebn0_db)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"ebn0_db must be a list of numbers, got {self.ebn0_db!r}"
+            ) from None
+        object.__setattr__(self, "ebn0_db", ebn0_db)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.fading_mode not in FADING_MODES:
@@ -114,6 +143,49 @@ class SystemConfig:
             raise ValueError("min_bit_errors must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        self._check_runnable()
+
+    def _check_runnable(self) -> None:
+        """Reject the scheme/geometry/alphabet combinations that would hang
+        or fail mid-run: every least-squares fit of the two channel entries
+        needs two pilots whose values are not all on one line."""
+        g = self.geometry
+        if self.scheme in ("classical_ls", "classical_mmse"):
+            if g.preamble_length < 2:
+                raise ValueError(
+                    f"geometry.preamble_length must be >= 2 for {self.scheme}, "
+                    f"got {g.preamble_length}"
+                )
+            return
+        if g.init_preamble_length < 2:
+            raise ValueError(
+                f"geometry.init_preamble_length must be >= 2 for {self.scheme}, "
+                f"got {g.init_preamble_length}"
+            )
+        if self.pilot_order < 4:
+            raise ValueError(
+                f"pilot_order must be >= 4 for {self.scheme}: real (BPSK) pilots "
+                "never give the [p, conj(p)] fit rank two"
+            )
+        try:
+            self.alphabets()
+        except ValueError as err:
+            raise ValueError(
+                f"gamma={self.gamma} with pilot_order={self.pilot_order}: {err}"
+            ) from None
+        if self.scheme == "proposed_turbo":
+            outside = g.pilots_per_block - g.pilots_per_subblock
+            if outside < 2:
+                raise ValueError(
+                    "geometry.subblocks and geometry.pilots_per_subblock leave "
+                    f"{outside} pilot(s) outside each subblock; proposed_turbo "
+                    "needs at least 2"
+                )
+        elif g.pilots_per_block < 2:
+            raise ValueError(
+                "geometry.subblocks * geometry.pilots_per_subblock must be >= 2 "
+                f"for {self.scheme}, got {g.pilots_per_block}"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -130,12 +202,20 @@ class SystemConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         if geo_data is not None:
+            if not isinstance(geo_data, dict):
+                raise ValueError(f"geometry must be a mapping, got {geo_data!r}")
             geo_known = {f.name for f in fields(BlockGeometry)}
             geo_unknown = set(geo_data) - geo_known
             if geo_unknown:
                 raise ValueError(f"unknown geometry keys: {sorted(geo_unknown)}")
-            kwargs["geometry"] = BlockGeometry(**geo_data)
-        return cls(**kwargs)
+        try:
+            if geo_data is not None:
+                kwargs["geometry"] = BlockGeometry(**geo_data)
+            return cls(**kwargs)
+        except TypeError as err:
+            # A value of the wrong type (say a string for a count) fails a
+            # comparison in validation; report it as a bad config value.
+            raise ValueError(f"invalid config value: {err}") from None
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -227,14 +307,28 @@ def count_bit_errors(sent, received) -> int:
     return int(np.count_nonzero(sent != received))
 
 
+def _draw_pilot_rows(rngs, points: np.ndarray, count: int) -> np.ndarray:
+    """Equiprobable pilot draws for one block of each frame, one row per
+    frame, redrawn (rarely) from the frame's own stream until the values
+    span both conjugation axes so the block's [p, conj(p)] matrix keeps
+    rank two."""
+    values = np.empty((len(rngs), count), dtype=points.dtype)
+    redraw = list(range(len(rngs)))
+    while redraw:
+        values[redraw] = points[
+            np.array([rngs[f].integers(0, points.size, count) for f in redraw])
+        ]
+        a = np.sum(np.abs(values[redraw]) ** 2, axis=1).tolist()
+        s2 = np.sum(values[redraw] ** 2, axis=1)
+        redraw = [
+            f for f, a_f, s2_f in zip(redraw, a, s2) if not a_f - abs(s2_f) > 1e-9 * a_f
+        ]
+    return values
+
+
 def _draw_pilot_values(rng, points: np.ndarray, count: int) -> np.ndarray:
-    """Equiprobable pilot draws, redrawn (rarely) until the values span both
-    conjugation axes so the block's [p, conj(p)] matrix keeps rank two."""
-    while True:
-        values = points[rng.integers(0, points.size, count)]
-        a = float(np.sum(np.abs(values) ** 2))
-        if a - abs(np.sum(values**2)) > 1e-9 * a:
-            return values
+    """:func:`_draw_pilot_rows` for a single frame."""
+    return _draw_pilot_rows([rng], points, count)[0]
 
 
 def _unit_preamble(length: int) -> np.ndarray:
@@ -252,20 +346,32 @@ def _mmse_prior(config: SystemConfig) -> np.ndarray:
     return prior + ridge * np.eye(2)
 
 
-def _simulate_frame(
-    config: SystemConfig, ebn0_db: float, point_index: int, trial_index: int
-) -> FrameTally:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=config.master_seed, spawn_key=(point_index, trial_index)
+def _simulate_frames(
+    config: SystemConfig, ebn0_db: float, point_index: int, trial_indices
+) -> list:
+    """Tallies of the frames ``trial_indices`` of one SNR point, in order.
+
+    Each frame draws from its own stream, seeded by the master seed and the
+    frame's grid coordinates, and consumes it in the same order whatever
+    frames it runs with, so a frame's tally does not depend on its company.
+    """
+    rngs = [
+        np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=config.master_seed, spawn_key=(point_index, int(trial))
+            )
         )
-    )
+        for trial in trial_indices
+    ]
     if config.scheme in ("classical_ls", "classical_mmse"):
-        return _classical_frame(config, ebn0_db, rng)
-    return _flexible_frame(config, ebn0_db, rng)
+        return [_classical_frame(config, ebn0_db, rng) for rng in rngs]
+    return _flexible_frames(config, ebn0_db, rngs)
 
 
-def _flexible_frame(config: SystemConfig, ebn0_db: float, rng) -> FrameTally:
+def _flexible_frames(config: SystemConfig, ebn0_db: float, rngs: list) -> list:
+    """Index-modulated frames run in lockstep: block k of every frame, then
+    block k+1.  The draws stay per frame and in order; the receiver and the
+    scoring see the whole stack at once."""
     g = config.geometry
     tx = config.tx_impairments()
     rx = RxImpairments(
@@ -276,36 +382,65 @@ def _flexible_frame(config: SystemConfig, ebn0_db: float, rng) -> FrameTally:
     transmit_power = config.transmit_power()
     genie_pattern = config.scheme == "lower_bound_perfect_pattern"
 
+    frames = len(rngs)
+    rows = np.arange(frames)
     bits_per_sub = g.index_bits_per_subblock
     n_index_bits = g.index_bits_per_block
     n_symbol_bits = g.data_per_block * data_const.bits_per_symbol
+    offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
 
-    tally = FrameTally(iteration_counts=())
-    iteration_counts = np.zeros(config.max_iterations, dtype=np.int64)
+    index_bit_errors = np.zeros(frames, dtype=np.int64)
+    symbol_bit_errors = np.zeros(frames, dtype=np.int64)
+    pattern_errors = np.zeros(frames, dtype=np.int64)
+    fallbacks = np.zeros(frames, dtype=np.int64)
+    mse_num = np.zeros(frames)
+    mse_den = np.zeros(frames)
+    iteration_counts = np.zeros((frames, config.max_iterations), dtype=np.int64)
 
-    state = initial_state(tx, rng, config.path_gain)
+    states = [initial_state(tx, rng, config.path_gain) for rng in rngs]
     preamble = _unit_preamble(g.init_preamble_length)
-    y_pre = propagate_block(preamble, state, tx, rx, rng)
-    h_prior = ls_estimate(preamble, y_pre)
+    h_prior = np.array(
+        [
+            ls_estimate(preamble, propagate_block(preamble, state, tx, rx, rng))
+            for state, rng in zip(states, rngs)
+        ]
+    )
+
+    h_true = np.empty((frames, 2), dtype=complex)
+    index_bits = np.empty((frames, n_index_bits), dtype=np.uint8)
+    symbol_bits = np.empty((frames, n_symbol_bits), dtype=np.uint8)
 
     for _ in range(g.blocks_per_frame):
-        state = evolve(state, config.fading_mode, tx, rng)
-        index_bits = rng.integers(0, 2, n_index_bits).astype(np.uint8)
-        symbol_bits = rng.integers(0, 2, n_symbol_bits).astype(np.uint8)
-        pilots = _draw_pilot_values(rng, pilot_const.points, g.pilots_per_block)
-        block = assemble_block(index_bits, symbol_bits, pilots, g, data_const)
-        y = propagate_block(block.symbols, state, tx, rx, rng)
-        h_true = state.equivalent(tx)
+        # Each frame draws its channel step, index bits, symbol bits, pilot
+        # values and, inside propagate_blocks, its noise, in that order.
+        for f, rng in enumerate(rngs):
+            states[f] = evolve(states[f], config.fading_mode, tx, rng)
+            index_bits[f] = rng.integers(0, 2, n_index_bits)
+            symbol_bits[f] = rng.integers(0, 2, n_symbol_bits)
+            h_true[f] = states[f].equivalent(tx)
+        pilots = _draw_pilot_rows(rngs, pilot_const.points, g.pilots_per_block)
+        symbols, true_pattern = assemble_blocks(
+            index_bits, symbol_bits, pilots, g, data_const
+        )
+        y = propagate_blocks(symbols, h_true, rx, rngs)
 
         if genie_pattern:
-            positions = block.pattern.absolute_positions(g)
-            h_hat = ls_estimate(pilots, y[positions])
-            mask = np.zeros(g.block_length, dtype=bool)
-            mask[positions] = True
-            _, rx_symbol_bits = detect_symbols(y[~mask], h_hat, data_const)
-            tally.symbol_bit_errors += count_bit_errors(symbol_bits, rx_symbol_bits)
+            positions = (true_pattern + offsets).reshape(frames, -1)
+            h_hat, solved = solve_two_path_ls_rows(
+                pilots, np.take_along_axis(y, positions, axis=1)
+            )
+            if not solved.all():
+                raise DegeneratePilotSetError(
+                    "degenerate pilot set: pilot column is collinear with its conjugate"
+                )
+            data = np.ones((frames, g.block_length), dtype=bool)
+            np.put_along_axis(data, positions, False, axis=1)
+            _, rx_symbol_bits = detect_symbols(
+                y[data].reshape(frames, -1), h_hat, data_const
+            )
+            symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
         else:
-            result = turbo_receive(
+            result = turbo_receive_frames(
                 y,
                 h_prior,
                 g,
@@ -320,33 +455,38 @@ def _flexible_frame(config: SystemConfig, ebn0_db: float, rng) -> FrameTally:
             )
             h_hat = result.channel_estimate
             h_prior = h_hat
-            iteration_counts[result.iterations - 1] += 1
-            tally.fallbacks += result.ls_fallbacks
-            tally.symbol_bit_errors += count_bit_errors(
-                symbol_bits, result.symbol_bits
+            iteration_counts[rows, result.iterations - 1] += 1
+            fallbacks += result.ls_fallbacks
+            symbol_bit_errors += np.count_nonzero(
+                symbol_bits != result.symbol_bits, axis=1
             )
-            truth = index_bits.reshape(g.subblocks, bits_per_sub)
-            guess = result.index_bits.reshape(g.subblocks, bits_per_sub)
-            per_sub = (truth != guess).sum(axis=1)
+            truth = index_bits.reshape(frames, g.subblocks, bits_per_sub)
+            guess = result.index_bits.reshape(frames, g.subblocks, bits_per_sub)
+            per_sub = (truth != guess).sum(axis=2)
             per_sub[result.unmapped] = bits_per_sub
-            tally.index_bit_errors += int(per_sub.sum())
-            tally.pattern_errors += sum(
-                detected != true
-                for detected, true in zip(
-                    result.pattern.per_subblock, block.pattern.per_subblock
-                )
-            )
+            index_bit_errors += per_sub.sum(axis=1)
+            pattern_errors += np.any(result.pattern != true_pattern, axis=2).sum(axis=1)
 
-        tally.index_bits += n_index_bits
-        tally.symbol_bits += n_symbol_bits
-        tally.subblocks += g.subblocks
-        tally.blocks += 1
-        diff = h_hat - h_true
-        tally.mse_num += float(np.sum(np.abs(diff) ** 2))
-        tally.mse_den += float(np.sum(np.abs(h_true) ** 2))
+        mse_num += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
+        mse_den += np.sum(np.abs(h_true) ** 2, axis=1)
 
-    tally.iteration_counts = tuple(int(c) for c in iteration_counts)
-    return tally
+    blocks = g.blocks_per_frame
+    return [
+        FrameTally(
+            index_bit_errors=int(index_bit_errors[f]),
+            index_bits=n_index_bits * blocks,
+            symbol_bit_errors=int(symbol_bit_errors[f]),
+            symbol_bits=n_symbol_bits * blocks,
+            mse_num=float(mse_num[f]),
+            mse_den=float(mse_den[f]),
+            pattern_errors=int(pattern_errors[f]),
+            subblocks=g.subblocks * blocks,
+            blocks=blocks,
+            fallbacks=int(fallbacks[f]),
+            iteration_counts=tuple(int(c) for c in iteration_counts[f]),
+        )
+        for f in range(frames)
+    ]
 
 
 def _classical_frame(config: SystemConfig, ebn0_db: float, rng) -> FrameTally:
@@ -526,8 +666,10 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
 
     Each point runs frames in fixed-size batches until the configured frame
     cap or a minimum number of accumulated bit errors is reached, whichever
-    comes first.  Given the same (config, seed) the output is bit-identical
-    for any worker count.
+    comes first.  The frames of a batch run in lockstep; with several
+    workers, each batch is cut into one contiguous chunk per worker.  Given
+    the same (config, seed) the output is bit-identical for any worker
+    count.
     """
     result = ExperimentResult(config=config)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -537,12 +679,13 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
             frames_done = 0
             while frames_done < config.trials:
                 batch = min(config.batch_frames, config.trials - frames_done)
-                runner = partial(_simulate_frame, config, ebn0_db, point_index)
+                runner = partial(_simulate_frames, config, ebn0_db, point_index)
                 indices = range(frames_done, frames_done + batch)
                 if pool is not None:
-                    tallies.extend(pool.map(runner, indices))
+                    for chunk in pool.map(runner, _chunks(indices, workers)):
+                        tallies.extend(chunk)
                 else:
-                    tallies.extend(runner(i) for i in indices)
+                    tallies.extend(runner(indices))
                 frames_done += batch
                 errors = sum(t.bit_errors for t in tallies)
                 if config.min_bit_errors and errors >= config.min_bit_errors:
@@ -552,6 +695,19 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
         if pool is not None:
             pool.shutdown()
     return result
+
+
+def _chunks(indices: range, parts: int) -> list:
+    """``indices`` cut into at most ``parts`` contiguous, non-empty ranges
+    whose lengths differ by at most one."""
+    size, extra = divmod(len(indices), parts)
+    chunks, start = [], indices.start
+    for part in range(parts):
+        stop = start + size + (part < extra)
+        if stop > start:
+            chunks.append(range(start, stop))
+        start = stop
+    return chunks
 
 
 def run_gamma_sweep(

@@ -24,6 +24,7 @@ __all__ = [
     "select_indices",
     "rank_indices",
     "assemble_block",
+    "assemble_blocks",
     "disassemble_block",
     "se_conventional",
     "se_proposed",
@@ -225,6 +226,62 @@ class DataBlock:
     pilot_symbols: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _offset_table(subblock_length: int, pilots_per_subblock: int) -> np.ndarray:
+    """(words, pilots) array: the 0-based offsets each index word selects."""
+    subsets, _ = _index_tables(subblock_length, pilots_per_subblock)
+    table = np.asarray(subsets, dtype=np.int64) - 1
+    table.setflags(write=False)
+    return table
+
+
+def assemble_blocks(
+    index_bits,
+    symbol_bits,
+    pilot_symbols,
+    geometry: BlockGeometry,
+    data_alphabet: Constellation,
+):
+    """Stacked form of :func:`assemble_block`, one block per row.
+
+    Takes (rows, index bits), (rows, symbol bits) and (rows, pilots) arrays.
+    Returns the transmitted symbols (rows, block_length) and the pilot
+    pattern as 0-based offsets (rows, subblocks, pilots_per_subblock).
+    """
+    index_bits = np.asarray(index_bits, dtype=np.uint8)
+    symbol_bits = np.asarray(symbol_bits, dtype=np.uint8)
+    pilot_symbols = np.asarray(pilot_symbols, dtype=complex)
+    rows = index_bits.shape[0]
+
+    if index_bits.shape[1:] != (geometry.index_bits_per_block,):
+        raise ValueError(
+            f"expected {geometry.index_bits_per_block} index bits, got {index_bits.shape[1:]}"
+        )
+    n_symbol_bits = geometry.data_per_block * data_alphabet.bits_per_symbol
+    if symbol_bits.shape != (rows, n_symbol_bits):
+        raise ValueError(f"expected {n_symbol_bits} symbol bits, got {symbol_bits.shape[1:]}")
+    if pilot_symbols.shape != (rows, geometry.pilots_per_block):
+        raise ValueError(
+            f"expected {geometry.pilots_per_block} pilot symbols, got {pilot_symbols.shape[1:]}"
+        )
+
+    bits = geometry.index_bits_per_subblock
+    words = index_bits.reshape(rows, geometry.subblocks, bits).astype(np.int64) @ (
+        1 << np.arange(bits - 1, -1, -1)
+    )
+    pattern = _offset_table(geometry.subblock_length, geometry.pilots_per_subblock)[words]
+    positions = (
+        pattern + np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
+    ).reshape(rows, -1)
+
+    symbols = np.empty((rows, geometry.block_length), dtype=complex)
+    pilot_mask = np.zeros((rows, geometry.block_length), dtype=bool)
+    np.put_along_axis(pilot_mask, positions, True, axis=1)
+    np.put_along_axis(symbols, positions, pilot_symbols, axis=1)
+    symbols[~pilot_mask] = map_bits_array(symbol_bits.reshape(-1), data_alphabet)
+    return symbols, pattern
+
+
 def assemble_block(
     index_bits,
     symbol_bits,
@@ -236,37 +293,12 @@ def assemble_block(
     index_bits = np.asarray(index_bits, dtype=np.uint8).reshape(-1)
     symbol_bits = np.asarray(symbol_bits, dtype=np.uint8).reshape(-1)
     pilot_symbols = np.asarray(pilot_symbols, dtype=complex).reshape(-1)
-
-    if index_bits.size != geometry.index_bits_per_block:
-        raise ValueError(
-            f"expected {geometry.index_bits_per_block} index bits, got {index_bits.size}"
-        )
-    n_symbol_bits = geometry.data_per_block * data_alphabet.bits_per_symbol
-    if symbol_bits.size != n_symbol_bits:
-        raise ValueError(f"expected {n_symbol_bits} symbol bits, got {symbol_bits.size}")
-    if pilot_symbols.size != geometry.pilots_per_block:
-        raise ValueError(
-            f"expected {geometry.pilots_per_block} pilot symbols, got {pilot_symbols.size}"
-        )
-
-    per_sub = index_bits.reshape(geometry.subblocks, geometry.index_bits_per_subblock)
-    pattern = IndexPattern(
-        tuple(
-            select_indices(row, geometry.subblock_length, geometry.pilots_per_subblock)
-            for row in per_sub
-        )
+    symbols, pattern = assemble_blocks(
+        index_bits[None], symbol_bits[None], pilot_symbols[None], geometry, data_alphabet
     )
-    positions = pattern.absolute_positions(geometry)
-
-    symbols = np.empty(geometry.block_length, dtype=complex)
-    pilot_mask = np.zeros(geometry.block_length, dtype=bool)
-    pilot_mask[positions] = True
-    symbols[positions] = pilot_symbols
-    symbols[~pilot_mask] = map_bits_array(symbol_bits, data_alphabet)
-
     return DataBlock(
-        symbols=symbols,
-        pattern=pattern,
+        symbols=symbols[0],
+        pattern=IndexPattern.from_array(pattern[0]),
         index_bits=index_bits,
         symbol_bits=symbol_bits,
         pilot_symbols=pilot_symbols,

@@ -27,16 +27,28 @@ def pilot_matrix(pilots) -> np.ndarray:
 
 
 def _normal_terms(pilots, received):
-    """Entries of P^H P and P^H y for P = [p, conj(p)].
+    """Entries of P^H P and P^H y for P = [p, conj(p)], reduced over the last
+    axis, so stacked rows give one set of terms each.
 
     P^H P = [[a, conj(s2)], [s2, a]] with a = sum |p|^2 and s2 = sum p^2;
     its smallest singular value is sqrt(a - |s2|).
     """
-    a = float(np.sum(np.abs(pilots) ** 2))
-    s2 = complex(np.sum(pilots**2))
-    r1 = complex(np.sum(np.conj(pilots) * received))
-    r2 = complex(np.sum(pilots * received))
+    a = np.sum(np.abs(pilots) ** 2, axis=-1)
+    s2 = np.sum(pilots**2, axis=-1)
+    r1 = np.sum(np.conj(pilots) * received, axis=-1)
+    r2 = np.sum(pilots * received, axis=-1)
     return a, s2, r1, r2
+
+
+def _solve_terms(a: float, s2: complex, r1: complex, r2: complex):
+    """Closed-form solve of one set of normal-equation terms, in Python
+    scalars; None when the pilot set is degenerate."""
+    if a - abs(s2) <= _RANK_TOL**2 * max(a, 1.0):
+        return None
+    det = a * a - abs(s2) ** 2
+    h_direct = (a * r1 - np.conj(s2) * r2) / det
+    h_image = (-s2 * r1 + a * r2) / det
+    return np.array([h_direct, h_image])
 
 
 def solve_two_path_ls(pilots, received):
@@ -44,12 +56,29 @@ def solve_two_path_ls(pilots, received):
     pilots = np.asarray(pilots, dtype=complex).reshape(-1)
     received = np.asarray(received, dtype=complex).reshape(-1)
     a, s2, r1, r2 = _normal_terms(pilots, received)
-    if a - abs(s2) <= _RANK_TOL**2 * max(a, 1.0):
-        return None
-    det = a * a - abs(s2) ** 2
-    h_direct = (a * r1 - np.conj(s2) * r2) / det
-    h_image = (-s2 * r1 + a * r2) / det
-    return np.array([h_direct, h_image])
+    return _solve_terms(float(a), complex(s2), complex(r1), complex(r2))
+
+
+def solve_two_path_ls_rows(pilots, received):
+    """:func:`solve_two_path_ls` on each row of ``(rows, n)`` arrays.
+
+    The sums are taken for all rows at once; the 2x2 solve runs per row in
+    the same scalar arithmetic, so each row's estimate carries the same bits
+    as a one-row call.  Returns ``(estimates, solved)`` with estimates of
+    shape ``(rows, 2)``; rows whose pilot set is degenerate hold zeros and
+    have ``solved`` False.
+    """
+    pilots = np.asarray(pilots, dtype=complex)
+    received = np.asarray(received, dtype=complex)
+    terms = [t.tolist() for t in _normal_terms(pilots, received)]
+    estimates = np.zeros((pilots.shape[0], 2), dtype=complex)
+    solved = np.zeros(pilots.shape[0], dtype=bool)
+    for row, row_terms in enumerate(zip(*terms)):
+        solution = _solve_terms(*row_terms)
+        if solution is not None:
+            estimates[row] = solution
+            solved[row] = True
+    return estimates, solved
 
 
 def ls_estimate(pilots, received) -> np.ndarray:
@@ -99,15 +128,27 @@ def detect_symbols(received, channel_estimate, constellation: Constellation, noi
     |y - (c*h_direct + conj(c)*h_image)|^2.
 
     The decision is invariant to the (optional) noise power; ties go to the
-    lowest constellation index.  Returns (symbols, bits).
+    lowest constellation index.  Returns (symbols, bits).  A length-2
+    estimate applies to all of ``received``; estimates stacked as
+    ``(rows, 2)`` apply row by row to ``(rows, n)`` samples, and the bits
+    then come back as ``(rows, n * bits_per_symbol)``.
     """
-    h = np.asarray(channel_estimate, dtype=complex).reshape(-1)
-    if h.size != 2 or not np.any(h):
+    h = np.asarray(channel_estimate, dtype=complex)
+    received = np.asarray(received, dtype=complex)
+    if h.ndim == 2 and h.shape[1] == 2 and received.ndim == 2:
+        if received.shape[0] != h.shape[0]:
+            raise ValueError("need one channel estimate per row of samples")
+    elif h.size == 2:
+        h = h.reshape(2)
+        received = received.reshape(-1)
+    else:
         raise ValueError("channel estimate must be a non-zero length-2 vector")
-    received = np.asarray(received, dtype=complex).reshape(-1)
-    model = constellation.points * h[0] + np.conj(constellation.points) * h[1]
-    d2 = np.abs(received[:, None] - model[None, :]) ** 2
-    idx = np.argmin(d2, axis=1)
-    symbols = constellation.points[idx]
-    bits = constellation.label_bits[idx].reshape(-1)
+    if not np.all(np.any(h, axis=-1)):
+        raise ValueError("channel estimate must be a non-zero length-2 vector")
+    points = constellation.points
+    model = points * h[..., :1] + np.conj(points) * h[..., 1:]
+    d2 = np.abs(received[..., :, None] - model[..., None, :]) ** 2
+    idx = np.argmin(d2, axis=-1)
+    symbols = points[idx]
+    bits = constellation.label_bits[idx].reshape(*idx.shape[:-1], -1)
     return symbols, bits

@@ -11,26 +11,48 @@ after which one least-squares fit over all detected pilot positions yields
 the channel estimate used to demodulate the block.
 
 Settled solutions additionally pass a whole-block consistency screen before
-being adopted; see :func:`turbo_receive` for the rationale.
+being adopted; see :func:`turbo_receive_frames` for the rationale.
+
+The receiver runs on a stack of blocks, one from each of F independent
+frames: :func:`turbo_receive_frames` takes ``(F, block_length)`` samples and
+keeps every stage (coarse ratios, extrinsic fits, pattern updates, final
+fit, screen, detection, index demapping) as arrays with a leading frame
+axis, shaped ``(F, subblocks, subblock_length)`` where the stage works per
+subblock.  A row leaves the iteration once it reaches a fixed point, a
+period-two oscillation or the budget, and the rescue runs on the rows the
+screen flags only.  Index words are read from a table of every position
+set, built from :func:`rank_indices` on first use.  Every row carries the
+same bits as if its block were processed alone; :func:`turbo_receive` is
+that one-block form.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .constellation import Constellation
-from .im_codec import BlockGeometry, IndexPattern, UnmappedPatternError, rank_indices
+from .im_codec import (
+    BlockGeometry,
+    IndexPattern,
+    UnmappedPatternError,
+    index_bits_per_subblock,
+    rank_indices,
+)
 from .impairments import RxImpairments
-from .rx_classical import detect_symbols, solve_two_path_ls
+from .rx_classical import detect_symbols, solve_two_path_ls, solve_two_path_ls_rows
 
 __all__ = [
     "TurboResult",
+    "TurboFrames",
     "prior_dnp",
     "llr_values",
     "coarse_detect",
     "extrinsic_ls",
     "turbo_receive",
+    "turbo_receive_frames",
 ]
 
 DNP_FLOOR = 1e-12
@@ -39,19 +61,42 @@ SUSPICION_FACTOR = 1.15
 RESCUE_MARGIN = 3.0
 
 
-def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float) -> float:
+def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     """Distortion-plus-noise power implied by a channel estimate: the
     estimate's received-power prediction times the distortion level, plus
-    thermal noise, floored for numerical stability."""
-    power = float(np.sum(np.abs(np.asarray(channel_estimate)) ** 2)) * transmit_power
-    return max(rx.distortion_level * power + rx.noise_variance, DNP_FLOOR)
+    thermal noise, floored for numerical stability.  Estimates stacked on
+    leading axes give one value each."""
+    power = np.sum(np.abs(np.asarray(channel_estimate)) ** 2, axis=-1) * transmit_power
+    dnp = np.maximum(rx.distortion_level * power + rx.noise_variance, DNP_FLOOR)
+    return float(dnp) if dnp.ndim == 0 else dnp
+
+
+def _min_last(x: np.ndarray) -> np.ndarray:
+    """``x.min(axis=-1)``, one elementwise minimum per entry of the short
+    last axis instead of one reduction per row."""
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = np.minimum(out, x[..., k])
+    return out
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` with the same bits, one elementwise add per entry
+    of a short last axis.  numpy adds fewer than eight entries in order and
+    longer rows pairwise, so longer rows go to numpy."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., k]
+    return out
 
 
 def _neg_lse(d2: np.ndarray, dnp) -> np.ndarray:
     """log sum_k exp(-d2_k / dnp) over the last axis, max-shifted for stability."""
-    m = d2.min(axis=-1)
-    shifted = np.exp(-(d2 - m[..., None]) / np.asarray(dnp)[..., None])
-    return -m / dnp + np.log(shifted.sum(axis=-1))
+    m = _min_last(d2)
+    shifted = np.exp((m[..., None] - d2) / np.asarray(dnp)[..., None])
+    return -m / dnp + np.log(_sum_last(shifted))
 
 
 def _candidate_models(points: np.ndarray, h_direct, h_image) -> np.ndarray:
@@ -89,20 +134,37 @@ def llr_values(
         * data_alphabet.order
         / (pilot_alphabet.order * (subblock_length - pilots_per_subblock))
     )
-    d2_pilot = np.abs(y[..., None] - _candidate_models(pilot_alphabet.points, h_direct, h_image)) ** 2
-    d2_data = np.abs(y[..., None] - _candidate_models(data_alphabet.points, h_direct, h_image)) ** 2
-    eta = prior + _neg_lse(d2_pilot, dnp_arr) - _neg_lse(d2_data, dnp_arr)
+    # Squared distances to every pilot candidate, then every data candidate.
+    points = np.concatenate([pilot_alphabet.points, data_alphabet.points])
+    d2 = np.abs(y[..., None] - _candidate_models(points, h_direct, h_image)) ** 2
+    n_pilot = pilot_alphabet.order
+    eta = prior + _neg_lse(d2[..., :n_pilot], dnp_arr) - _neg_lse(d2[..., n_pilot:], dnp_arr)
     if eta.ndim == 0:
         return float(eta)
     return eta
 
 
 def _top_positions(eta: np.ndarray, pilots_per_subblock: int) -> np.ndarray:
-    """Per-row 0-based positions of the largest ratios, ascending; ties favour
-    the smaller position."""
-    order = np.argsort(-eta, axis=1, kind="stable")[:, :pilots_per_subblock]
-    order.sort(axis=1)
+    """0-based positions of the largest ratios along the last axis, ascending;
+    ties favour the smaller position."""
+    order = np.argsort(-eta, axis=-1, kind="stable")[..., :pilots_per_subblock]
+    order.sort(axis=-1)
     return order
+
+
+def _two_path_ls_arrays(a, s2, r1, r2):
+    """Closed-form two-path LS on arrays of normal-equation terms.
+
+    Degenerate sets (all pilots collinear with their conjugates) cannot
+    resolve both coefficients; they get a direct-path-only fit instead.
+    Returns (h_direct, h_image, solvable).
+    """
+    det = a**2 - np.abs(s2) ** 2
+    solvable = det > 1e-12 * a**2
+    safe_det = np.where(solvable, det, 1.0)
+    h_direct = np.where(solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / a)
+    h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
+    return h_direct, h_image, solvable
 
 
 def coarse_detect(
@@ -169,6 +231,70 @@ class TurboResult:
     restarted: bool = False
 
 
+@dataclass
+class TurboFrames:
+    """Receiver output for a stack of blocks: the fields of
+    :class:`TurboResult` as arrays with a leading frame axis.  ``pattern``
+    holds 0-based offsets shaped (frames, subblocks, pilots_per_subblock)."""
+
+    pattern: np.ndarray
+    channel_estimate: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    index_bits: np.ndarray
+    unmapped: np.ndarray
+    symbol_bits: np.ndarray
+    ls_fallbacks: np.ndarray
+    restarted: np.ndarray
+
+    def row(self, frame: int) -> TurboResult:
+        return TurboResult(
+            pattern=IndexPattern.from_array(self.pattern[frame]),
+            channel_estimate=self.channel_estimate[frame],
+            iterations=int(self.iterations[frame]),
+            converged=bool(self.converged[frame]),
+            index_bits=self.index_bits[frame],
+            unmapped=self.unmapped[frame],
+            symbol_bits=self.symbol_bits[frame],
+            ls_fallbacks=int(self.ls_fallbacks[frame]),
+            restarted=bool(self.restarted[frame]),
+        )
+
+
+@lru_cache(maxsize=None)
+def _position_words(subblock_length: int, pilots_per_subblock: int):
+    """Index word of every pilot position set, built once per subblock shape
+    with :func:`rank_indices` and addressed by the set's lexicographic rank.
+
+    Returns (weights, words, unmapped).  Sorted 0-based offsets o_0 < ... have
+    rank C(n, k) - 1 - sum_j weights[j, o_j]; ``words`` holds each rank's
+    index bits (zeros where ``unmapped``).
+    """
+    n, k = subblock_length, pilots_per_subblock
+    weights = np.array(
+        [[math.comb(n - 1 - o, k - j) for o in range(n)] for j in range(k)],
+        dtype=np.int64,
+    )
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    words = np.zeros((len(subsets), index_bits_per_subblock(n, k)), dtype=np.uint8)
+    unmapped = np.zeros(len(subsets), dtype=bool)
+    for rank, subset in enumerate(subsets):
+        try:
+            words[rank] = rank_indices(subset, n, k)
+        except UnmappedPatternError:
+            unmapped[rank] = True
+    return weights, words, unmapped
+
+
+def _demap_indices(pattern: np.ndarray, subblock_length: int, pilots_per_subblock: int):
+    """Index bits (frames, subblocks * bits) and unmapped flags (frames,
+    subblocks) of sorted 0-based position sets (frames, subblocks, pilots)."""
+    weights, words, unmapped = _position_words(subblock_length, pilots_per_subblock)
+    picked = weights[np.arange(pilots_per_subblock), pattern].sum(axis=-1)
+    rank = words.shape[0] - 1 - picked
+    return words[rank].reshape(pattern.shape[0], -1), unmapped[rank]
+
+
 def turbo_receive(
     received_block,
     prior_estimate,
@@ -182,7 +308,41 @@ def turbo_receive(
     use_stopping: bool = True,
     dnp_mode: str = "refresh",
 ) -> TurboResult:
-    """Run the full iterative receiver on one block.
+    """Run the full iterative receiver on one block: :func:`turbo_receive_frames`
+    on a stack of one."""
+    return turbo_receive_frames(
+        np.asarray(received_block, dtype=complex).reshape(1, -1),
+        np.asarray(prior_estimate, dtype=complex).reshape(1, 2),
+        geometry,
+        data_alphabet,
+        pilot_alphabet,
+        np.asarray(pilot_values, dtype=complex).reshape(1, -1),
+        rx,
+        transmit_power,
+        max_iterations=max_iterations,
+        use_stopping=use_stopping,
+        dnp_mode=dnp_mode,
+    ).row(0)
+
+
+def turbo_receive_frames(
+    received,
+    prior_estimates,
+    geometry: BlockGeometry,
+    data_alphabet: Constellation,
+    pilot_alphabet: Constellation,
+    pilot_values,
+    rx: RxImpairments,
+    transmit_power: float,
+    max_iterations: int = 4,
+    use_stopping: bool = True,
+    dnp_mode: str = "refresh",
+) -> TurboFrames:
+    """Run the full iterative receiver on one block of each of F frames.
+
+    ``received`` is (F, block_length), ``prior_estimates`` (F, 2) and
+    ``pilot_values`` (F, pilots_per_block).  Each row's output equals that
+    of the row processed alone.
 
     ``dnp_mode`` picks the distortion-plus-noise power used inside the
     ratio: "prior" keeps the value derived from the prior estimate for the
@@ -200,68 +360,73 @@ def turbo_receive(
     sub_len = geometry.subblock_length
     per_sub = geometry.pilots_per_subblock
 
-    y = np.asarray(received_block, dtype=complex).reshape(n_sub, sub_len)
-    pvals = np.asarray(pilot_values, dtype=complex).reshape(n_sub, per_sub)
-    prior = np.asarray(prior_estimate, dtype=complex).reshape(2)
+    y = np.asarray(received, dtype=complex).reshape(-1, n_sub, sub_len)
+    frames = y.shape[0]
+    pvals = np.asarray(pilot_values, dtype=complex).reshape(frames, n_sub, per_sub)
+    prior = np.asarray(prior_estimates, dtype=complex).reshape(frames, 2)
+    y_flat = y.reshape(frames, -1)
+    offsets = np.arange(n_sub)[:, None] * sub_len
+    # Flat index of each subblock's first sample, per frame: a pattern's
+    # samples are y_flat.flat[starts[rows] + pattern].
+    starts = np.arange(frames)[:, None, None] * geometry.block_length + offsets
 
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
     # Pilot-value partial sums; the extrinsic set for subblock g is the block
     # total minus g's own contribution.
-    a_sub = np.sum(np.abs(pvals) ** 2, axis=1)
-    s2_sub = np.sum(pvals**2, axis=1)
-    a_ex = a_sub.sum() - a_sub
-    s2_ex = s2_sub.sum() - s2_sub
-    det = a_ex**2 - np.abs(s2_ex) ** 2
-    solvable = det > 1e-12 * a_ex**2
+    a_sub = np.sum(np.abs(pvals) ** 2, axis=-1)
+    s2_sub = np.sum(pvals**2, axis=-1)
+    a_ex = a_sub.sum(axis=-1, keepdims=True) - a_sub
+    s2_ex = s2_sub.sum(axis=-1, keepdims=True) - s2_sub
 
-    offsets = np.arange(n_sub)[:, None] * sub_len
-    y_flat = y.reshape(-1)
-    fallbacks = 0
+    fallbacks = np.zeros(frames, dtype=np.int64)
 
-    def run_pass(pattern):
-        nonlocal fallbacks
-        iterations = 0
-        converged = False
-        previous = None
-        cycle_mate = None
-        for _ in range(max_iterations):
-            iterations += 1
-            y_det = np.take_along_axis(y, pattern, axis=1)
-            r1_sub = np.sum(np.conj(pvals) * y_det, axis=1)
-            r2_sub = np.sum(pvals * y_det, axis=1)
-            r1_ex = r1_sub.sum() - r1_sub
-            r2_ex = r2_sub.sum() - r2_sub
+    def run_pass(rows, pattern):
+        """Update the patterns of ``rows`` until each reaches a fixed point,
+        a period-two oscillation or the budget.  Returns (pattern,
+        iterations, converged, oscillating, cycle_mate), one entry per row."""
+        pattern = pattern.copy()
+        previous = pattern.copy()
+        cycle_mate = pattern.copy()
+        iterations = np.zeros(rows.size, dtype=np.int64)
+        converged = np.zeros(rows.size, dtype=bool)
+        oscillating = np.zeros(rows.size, dtype=bool)
+        live = np.arange(rows.size)
+        for step in range(1, max_iterations + 1):
+            if not live.size:
+                break
+            r = rows[live]
+            current = pattern[live]
+            iterations[live] = step
+            y_det = y_flat.flat[starts[r] + current]
+            p_r = pvals[r]
+            r1_sub = np.sum(np.conj(p_r) * y_det, axis=-1)
+            r2_sub = np.sum(p_r * y_det, axis=-1)
 
-            # Degenerate extrinsic sets (all remaining pilots collinear with
-            # their conjugates) cannot resolve both coefficients; fitting the
-            # direct path alone keeps the update extrinsic and avoids freezing
-            # the subblock on a stale prior, which would be a wrong fixed
-            # point.
-            safe_det = np.where(solvable, det, 1.0)
-            h_direct = np.where(
-                solvable,
-                (a_ex * r1_ex - np.conj(s2_ex) * r2_ex) / safe_det,
-                r1_ex / a_ex,
+            # Fitting the direct path alone where the extrinsic set is
+            # degenerate keeps the update extrinsic and avoids freezing the
+            # subblock on a stale prior, which would be a wrong fixed point.
+            h_direct, h_image, solvable = _two_path_ls_arrays(
+                a_ex[r],
+                s2_ex[r],
+                r1_sub.sum(axis=-1, keepdims=True) - r1_sub,
+                r2_sub.sum(axis=-1, keepdims=True) - r2_sub,
             )
-            h_image = np.where(
-                solvable, (-s2_ex * r1_ex + a_ex * r2_ex) / safe_det, 0.0
-            )
-            fallbacks += int(n_sub - np.count_nonzero(solvable))
+            fallbacks[r] += n_sub - np.count_nonzero(solvable, axis=-1)
 
             if dnp_mode == "prior":
-                dnp_iter = dnp_prior
+                dnp_iter = dnp_prior[r][:, None, None]
             else:
                 power = (
                     np.abs(h_direct) ** 2 + np.abs(h_image) ** 2
                 ) * transmit_power
                 dnp_iter = np.maximum(
                     rx.distortion_level * power + rx.noise_variance, DNP_FLOOR
-                )[:, None]
+                )[..., None]
 
             eta = llr_values(
-                y,
-                np.stack([h_direct, h_image], axis=-1)[:, None, :],
+                y[r],
+                np.stack([h_direct, h_image], axis=-1)[:, :, None, :],
                 data_alphabet,
                 pilot_alphabet,
                 sub_len,
@@ -269,112 +434,131 @@ def turbo_receive(
                 dnp_iter,
             )
             new_pattern = _top_positions(eta, per_sub)
-            if np.array_equal(new_pattern, pattern):
-                # A repeated pattern is a fixed point: the extrinsic fits
-                # depend only on (pattern, y), so further passes cannot change
-                # anything and the loop may exit either way.  With the
-                # stopping rule off, the reported count is the full budget the
-                # run is equivalent to.
-                converged = True
-                break
-            if iterations >= 3 and previous is not None and np.array_equal(
-                new_pattern, previous
-            ):
-                # Simultaneous subblock updates can settle into a period-two
-                # oscillation; both phases are then fixed points of the
-                # two-step map, and the caller arbitrates between them.
-                cycle_mate = pattern
-                pattern = new_pattern
-                break
-            previous = pattern
-            pattern = new_pattern
-        if not use_stopping or cycle_mate is not None:
-            # An oscillating pattern never satisfies the stopping criterion,
-            # so the early exit above stands in for a full-budget run.
-            iterations = max_iterations
-        return pattern, iterations, converged, cycle_mate
+            # A repeated pattern is a fixed point: the extrinsic fits depend
+            # only on (pattern, y), so further passes cannot change anything
+            # and the row may leave either way.  With the stopping rule off,
+            # the reported count is the full budget the run is equivalent to.
+            fixed = np.all(new_pattern == current, axis=(1, 2))
+            # Simultaneous subblock updates can settle into a period-two
+            # oscillation; both phases are then fixed points of the two-step
+            # map, and the caller arbitrates between them.
+            cycle = np.zeros_like(fixed)
+            if step >= 3:
+                cycle = ~fixed & np.all(new_pattern == previous[live], axis=(1, 2))
+            converged[live[fixed]] = True
+            mates = live[cycle]
+            oscillating[mates] = True
+            cycle_mate[mates] = current[cycle]
+            pattern[mates] = new_pattern[cycle]
+            moving = ~(fixed | cycle)
+            live = live[moving]
+            previous[live] = current[moving]
+            pattern[live] = new_pattern[moving]
+        if not use_stopping:
+            iterations[:] = max_iterations
+        # An oscillating pattern never satisfies the stopping criterion, so
+        # the early exit above stands in for a full-budget run.
+        iterations[oscillating] = max_iterations
+        return pattern, iterations, converged, oscillating, cycle_mate
 
-    def fit_pairs(values, samples):
-        nonlocal fallbacks
-        solution = solve_two_path_ls(values, samples)
-        if solution is None:
-            direct = np.sum(np.conj(values) * samples) / np.sum(np.abs(values) ** 2)
-            solution = np.array([direct, 0.0])
-            fallbacks += 1
-        return solution
+    def pilot_pairs(rows, pattern):
+        """Known pilot values and the samples at the detected positions,
+        (rows, pilots_per_block) each, in subblock order."""
+        shape = (rows.size, geometry.pilots_per_block)
+        values = pvals[rows].reshape(shape)
+        samples = y_flat.flat[starts[rows] + pattern].reshape(shape)
+        return values, samples
 
-    def final_fit(pattern):
-        """LS over all detected pilot positions."""
-        return fit_pairs(pvals.reshape(-1), y_flat[(pattern + offsets).reshape(-1)])
+    def final_fit(rows, pattern):
+        """LS over all detected pilot positions, with a direct-path-only fit
+        for degenerate pilot sets.  Returns (estimates, fell_back)."""
+        values, samples = pilot_pairs(rows, pattern)
+        estimates, solved = solve_two_path_ls_rows(values, samples)
+        for i in np.flatnonzero(~solved):
+            direct = np.sum(np.conj(values[i]) * samples[i]) / np.sum(np.abs(values[i]) ** 2)
+            estimates[i] = (direct, 0.0)
+        return estimates, ~solved
 
-    def leave_one_out_fits(pattern):
-        """LS fits with one claimed pilot pair excluded, one per pair.
+    def leave_one_out_fits(rows, pattern):
+        """LS fits with one claimed pilot pair excluded, one per pair:
+        (rows, pilots_per_block, 2).
 
         A single wrongly-claimed position drags the joint fit enough to mask
         its own residual, so the rescue candidates re-solve without each pair
         in turn and let the whole-block residual arbitrate.
         """
-        values = pvals.reshape(-1)
-        samples = y_flat[(pattern + offsets).reshape(-1)]
-        if values.size <= 3:
-            return []
-        a_one = np.abs(values) ** 2
-        s2_one = values**2
-        r1_one = np.conj(values) * samples
-        r2_one = values * samples
-        a_loo = a_one.sum() - a_one
-        s2_loo = s2_one.sum() - s2_one
-        r1_loo = r1_one.sum() - r1_one
-        r2_loo = r2_one.sum() - r2_one
-        det_loo = a_loo**2 - np.abs(s2_loo) ** 2
-        ok = det_loo > 1e-12 * a_loo**2
-        safe = np.where(ok, det_loo, 1.0)
-        h1 = np.where(
-            ok, (a_loo * r1_loo - np.conj(s2_loo) * r2_loo) / safe, r1_loo / a_loo
+        values, samples = pilot_pairs(rows, pattern)
+        terms = (
+            np.abs(values) ** 2,
+            values**2,
+            np.conj(values) * samples,
+            values * samples,
         )
-        h2 = np.where(ok, (-s2_loo * r1_loo + a_loo * r2_loo) / safe, 0.0)
-        return [np.array([h1[j], h2[j]]) for j in range(values.size)]
-
-    def joint_residual(pattern, h_hat):
-        """Squared residual of the whole block under (pattern, h_hat), with
-        data positions explained by their best alphabet candidate."""
-        positions = (pattern + offsets).reshape(-1)
-        mask = np.zeros(geometry.block_length, dtype=bool)
-        mask[positions] = True
-        flat = pvals.reshape(-1)
-        pilot_model = flat * h_hat[0] + np.conj(flat) * h_hat[1]
-        residual = float(np.sum(np.abs(y_flat[positions] - pilot_model) ** 2))
-        data_model = (
-            data_alphabet.points * h_hat[0]
-            + np.conj(data_alphabet.points) * h_hat[1]
+        h_direct, h_image, _ = _two_path_ls_arrays(
+            *(t.sum(axis=-1, keepdims=True) - t for t in terms)
         )
-        d2 = np.abs(y_flat[~mask][:, None] - data_model[None, :]) ** 2
-        return residual + float(np.sum(d2.min(axis=1)))
+        return np.stack([h_direct, h_image], axis=-1)
 
-    measured_power = max(
-        (float(np.mean(np.abs(y_flat) ** 2)) - rx.noise_variance)
+    def joint_residual(rows, patterns, estimates):
+        """Squared residual of each row's block under each of its candidate
+        (pattern, estimate) pairs, with data positions explained by their
+        best alphabet candidate.  ``patterns`` is (rows, candidates,
+        subblocks, pilots), ``estimates`` (rows, candidates, 2)."""
+        shape = patterns.shape[:2]
+        positions = starts[rows][:, None] + patterns
+        samples = y_flat.flat[positions].reshape(*shape, -1)
+        flat = pvals[rows].reshape(rows.size, 1, -1)
+        h0, h1 = estimates[..., :1], estimates[..., 1:]
+        pilot_model = flat * h0 + np.conj(flat) * h1
+        residual = np.sum(np.abs(samples - pilot_model) ** 2, axis=-1)
+        data = np.ones(shape + (geometry.block_length,), dtype=bool)
+        np.put_along_axis(data, (patterns + offsets).reshape(*shape, -1), False, axis=-1)
+        y_data = np.broadcast_to(y_flat[rows][:, None], data.shape)[data].reshape(*shape, -1)
+        # Nearest data candidate, one alphabet point at a time, which keeps
+        # the temporaries at (rows, candidates, data samples).
+        nearest = None
+        for point in data_alphabet.points:
+            d2 = np.abs(y_data - (point * h0 + np.conj(point) * h1)) ** 2
+            nearest = d2 if nearest is None else np.minimum(nearest, d2)
+        return residual + np.sum(nearest, axis=-1)
+
+    measured_power = np.maximum(
+        (np.mean(np.abs(y_flat) ** 2, axis=-1) - rx.noise_variance)
         / (1.0 + rx.distortion_level),
         0.0,
     )
-    dnp_measured = max(
+    dnp_measured = np.maximum(
         rx.distortion_level * measured_power + rx.noise_variance, DNP_FLOOR
     )
 
+    every = np.arange(frames)
     eta = llr_values(
-        y, prior, data_alphabet, pilot_alphabet, sub_len, per_sub, dnp_prior
+        y,
+        prior[:, None, None, :],
+        data_alphabet,
+        pilot_alphabet,
+        sub_len,
+        per_sub,
+        dnp_prior[:, None, None],
     )
-    pattern, iterations, converged, cycle_mate = run_pass(
-        _top_positions(eta, per_sub)
+    pattern, iterations, converged, oscillating, cycle_mate = run_pass(
+        every, _top_positions(eta, per_sub)
     )
-    h_final = final_fit(pattern)
-    residual = joint_residual(pattern, h_final)
-    restarted = False
+    h_final, fell_back = final_fit(every, pattern)
+    fallbacks += fell_back
+    residual = joint_residual(every, pattern[:, None], h_final[:, None])[:, 0]
+    restarted = np.zeros(frames, dtype=bool)
 
-    if cycle_mate is not None:
-        mate_h = final_fit(cycle_mate)
-        mate_residual = joint_residual(cycle_mate, mate_h)
-        if mate_residual < residual:
-            pattern, h_final, residual = cycle_mate, mate_h, mate_residual
+    rows = np.flatnonzero(oscillating)
+    if rows.size:
+        mate_h, fell_back = final_fit(rows, cycle_mate[rows])
+        fallbacks[rows] += fell_back
+        mate_residual = joint_residual(rows, cycle_mate[rows][:, None], mate_h[:, None])[:, 0]
+        better = mate_residual < residual[rows]
+        swap = rows[better]
+        pattern[swap] = cycle_mate[swap]
+        h_final[swap] = mate_h[better]
+        residual[swap] = mate_residual[better]
 
     # Consistency screen, applied only to solutions the iteration settled on
     # (a fixed point, or either phase of a period-two oscillation): the update
@@ -388,49 +572,72 @@ def turbo_receive(
     # Solutions that merely ran out of iteration budget are left alone:
     # not-yet-converged detection is expected to be poor, and hiding that
     # would misstate how performance depends on the budget.
-    settled = converged or cycle_mate is not None
-    if settled and residual > SUSPICION_FACTOR * geometry.block_length * dnp_measured:
-        candidates = []
-        for h_alt in leave_one_out_fits(pattern):
-            candidates.append((pattern, h_alt, iterations, converged, False))
-        alt_pattern, alt_iterations, alt_converged, alt_mate = run_pass(
-            _top_positions(np.abs(y) ** 2, per_sub)
+    settled = converged | oscillating
+    suspicious = residual > SUSPICION_FACTOR * geometry.block_length * dnp_measured
+    rows = np.flatnonzero(settled & suspicious)
+    if rows.size:
+        alt_pattern, alt_iterations, alt_converged, alt_oscillating, alt_mate = run_pass(
+            rows, _top_positions(np.abs(y[rows]) ** 2, per_sub)
         )
-        alt_options = [alt_pattern] if alt_mate is None else [alt_pattern, alt_mate]
-        for option in alt_options:
-            if np.array_equal(option, pattern):
-                continue
-            meta = (alt_iterations, alt_converged, True)
-            candidates.append((option, final_fit(option), *meta))
-            for h_alt in leave_one_out_fits(option):
-                candidates.append((option, h_alt, *meta))
-        best = residual - RESCUE_MARGIN * dnp_measured
-        for cand_pattern, cand_h, cand_iter, cand_conv, cand_restart in candidates:
-            cand_residual = joint_residual(cand_pattern, cand_h)
-            if cand_residual < best:
-                best = cand_residual
-                pattern, h_final = cand_pattern, cand_h
-                iterations, converged = cand_iter, cand_conv
-                restarted = cand_restart
+        # Three sources of candidates, tried in this order: refits of the
+        # settled pattern, then the second pass's pattern and, if that pass
+        # oscillates, its other phase, each with its joint fit and refits.
+        # A second-pass pattern equal to the settled one adds nothing.
+        kept = pattern[rows]
+        source_patterns = np.stack([kept, alt_pattern, alt_mate], axis=1)
+        source_valid = np.stack(
+            [np.ones(rows.size, dtype=bool), np.ones(rows.size, dtype=bool), alt_oscillating],
+            axis=1,
+        )
+        source_valid[:, 1:] &= ~np.all(source_patterns[:, 1:] == kept[:, None], axis=(2, 3))
+        source_iterations = np.stack([iterations[rows], alt_iterations, alt_iterations], axis=1)
+        source_converged = np.stack([converged[rows], alt_converged, alt_converged], axis=1)
+        source_restarted = np.array([False, True, True])
 
-    pilot_mask = np.zeros(geometry.block_length, dtype=bool)
-    pilot_mask[(pattern + offsets).reshape(-1)] = True
-    _, symbol_bits = detect_symbols(y_flat[~pilot_mask], h_final, data_alphabet)
+        joint = np.zeros((rows.size, 3, 1, 2), dtype=complex)
+        row_of, source_of = np.nonzero(source_valid[:, 1:])
+        source_of += 1
+        joint[row_of, source_of, 0], fell_back = final_fit(
+            rows[row_of], source_patterns[row_of, source_of]
+        )
+        np.add.at(fallbacks, rows[row_of], fell_back)
+        n_refits = geometry.pilots_per_block if geometry.pilots_per_block > 3 else 0
+        refits = leave_one_out_fits(
+            np.repeat(rows, 3), source_patterns.reshape(-1, n_sub, per_sub)
+        ).reshape(rows.size, 3, -1, 2)[:, :, :n_refits]
+        per_source = [refits[:, 0]] + [
+            np.concatenate([joint[:, k], refits[:, k]], axis=1) for k in (1, 2)
+        ]
+        if not source_valid[:, 2].any():
+            per_source.pop()
+        source = np.repeat(np.arange(len(per_source)), [e.shape[1] for e in per_source])
+        estimates = np.concatenate(per_source, axis=1)
+        cand_residual = joint_residual(rows, source_patterns[:, source], estimates)
+        cand_residual[~source_valid[:, source] | np.isnan(cand_residual)] = np.inf
+        # Trying candidates in order and keeping strict improvements ends on
+        # the first one that reaches the smallest residual.
+        best = np.argmin(cand_residual, axis=1)
+        adopt = (
+            cand_residual[np.arange(rows.size), best]
+            < residual[rows] - RESCUE_MARGIN * dnp_measured[rows]
+        )
+        winners = rows[adopt]
+        pick = (np.flatnonzero(adopt), source[best[adopt]])
+        pattern[winners] = source_patterns[pick]
+        h_final[winners] = estimates[np.flatnonzero(adopt), best[adopt]]
+        iterations[winners] = source_iterations[pick]
+        converged[winners] = source_converged[pick]
+        restarted[winners] = source_restarted[pick[1]]
 
-    bits_per_sub = geometry.index_bits_per_subblock
-    index_bits = np.zeros(n_sub * bits_per_sub, dtype=np.uint8)
-    unmapped = np.zeros(n_sub, dtype=bool)
-    for g in range(n_sub):
-        subset = tuple(int(i) + 1 for i in pattern[g])
-        try:
-            word = rank_indices(subset, sub_len, per_sub)
-        except UnmappedPatternError:
-            unmapped[g] = True
-            continue
-        index_bits[g * bits_per_sub : (g + 1) * bits_per_sub] = word
+    data = np.ones((frames, geometry.block_length), dtype=bool)
+    np.put_along_axis(data, (pattern + offsets).reshape(frames, -1), False, axis=-1)
+    _, symbol_bits = detect_symbols(
+        y_flat[data].reshape(frames, -1), h_final, data_alphabet
+    )
+    index_bits, unmapped = _demap_indices(pattern, sub_len, per_sub)
 
-    return TurboResult(
-        pattern=IndexPattern.from_array(pattern),
+    return TurboFrames(
+        pattern=pattern,
         channel_estimate=h_final,
         iterations=iterations,
         converged=converged,

@@ -10,6 +10,7 @@ from impilot.channel import (
     evolve,
     initial_state,
     propagate_block,
+    propagate_blocks,
 )
 from impilot.impairments import RxImpairments, TxImpairments, apply_tx_impairments
 
@@ -119,3 +120,20 @@ def test_evolve_rejects_unknown_mode():
 def test_initial_state_validates_path_gain():
     with pytest.raises(ValueError):
         initial_state(IDEAL, np.random.default_rng(0), path_gain=0.0)
+
+
+def test_stacked_propagation_rows_match_one_block_calls():
+    tx = TxImpairments(0.2, math.radians(2.0))
+    rx = RxImpairments(0.02, 0.3)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(4, 64)) + 1j * rng.normal(size=(4, 64))
+    states = [ChannelState(gain=0.9, oscillator_phase=0.4 * f) for f in range(4)]
+    stacked = propagate_blocks(
+        x,
+        np.array([s.equivalent(tx) for s in states]),
+        rx,
+        [np.random.default_rng(100 + f) for f in range(4)],
+    )
+    for f, state in enumerate(states):
+        alone = propagate_block(x[f], state, tx, rx, np.random.default_rng(100 + f))
+        assert stacked[f].tobytes() == alone.tobytes()

@@ -13,7 +13,9 @@ from impilot.harness import (
     run_gamma_sweep,
     run_iteration_histogram,
     write_csv,
+    _chunks,
     _draw_pilot_values,
+    _simulate_frames,
     _unit_preamble,
 )
 from impilot.constellation import build_pilot_alphabet
@@ -60,11 +62,55 @@ def test_config_rejects_unknown_keys():
         ("ebn0_db", ()),
         ("trials", 0),
         ("max_iterations", 0),
+        # Configs that used to hang or fail mid-run.  Checked at construction
+        # only: the hanging ones must never be run.
+        ("pilot_order", 2),
+        ("ebn0_db", 5),
+        ("geometry", BlockGeometry(block_length=16, subblocks=2, blocks_per_frame=20)),
+        ("geometry", BlockGeometry(init_preamble_length=1, blocks_per_frame=20)),
     ],
 )
 def test_config_field_validation(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         quiet_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "scheme,geometry,field",
+    [
+        # one pilot per block: the pilot redraw loop never ends
+        (
+            "lower_bound_perfect_pattern",
+            BlockGeometry(block_length=8, subblocks=1, blocks_per_frame=20),
+            "geometry.subblocks",
+        ),
+        ("classical_ls", BlockGeometry(preamble_length=1), "geometry.preamble_length"),
+        ("classical_mmse", BlockGeometry(preamble_length=1), "geometry.preamble_length"),
+    ],
+)
+def test_config_rejects_scheme_geometry_mismatch(scheme, geometry, field):
+    with pytest.raises(ValueError, match=field):
+        quiet_config(scheme=scheme, geometry=geometry)
+
+
+def test_config_rejects_intersecting_alphabets():
+    # unit-power 8-PSK pilots land on the QPSK data points
+    with pytest.raises(ValueError, match="gamma"):
+        quiet_config(gamma=1.0, pilot_order=8)
+
+
+def test_config_from_dict_reports_bad_values_as_value_errors():
+    with pytest.raises(ValueError, match="ebn0_db"):
+        SystemConfig.from_dict({"ebn0_db": 5})
+    with pytest.raises(ValueError, match="invalid config value"):
+        SystemConfig.from_dict({"trials": "5"})
+    with pytest.raises(ValueError, match="invalid config value"):
+        SystemConfig.from_dict({"geometry": {"block_length": "64"}})
+    with pytest.raises(ValueError, match="geometry"):
+        SystemConfig.from_dict({"geometry": 5})
+    # a one-symbol preamble is fine where it is not used
+    SystemConfig(geometry=BlockGeometry(preamble_length=1))
+    SystemConfig(scheme="classical_ls", geometry=BlockGeometry(init_preamble_length=1))
 
 
 def test_noise_variance_accounting():
@@ -136,6 +182,42 @@ def test_worker_count_does_not_change_results(tmp_path):
     write_csv(run_experiment(cfg, workers=1), serial)
     write_csv(run_experiment(cfg, workers=2), pooled)
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # 0 dB with eight iterations and DNP refresh runs the rescue often
+        dict(ebn0_db=(0.0,), max_iterations=8, dnp_mode="refresh"),
+        dict(ebn0_db=(10.0,)),
+        dict(ebn0_db=(4.0,), scheme="lower_bound_perfect_pattern"),
+        dict(ebn0_db=(4.0,), scheme="classical_mmse"),
+    ],
+)
+def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
+    cfg = quiet_config(**overrides)
+    snr = cfg.ebn0_db[0]
+    together = _simulate_frames(cfg, snr, 1, range(5))
+    for trial in range(5):
+        assert _simulate_frames(cfg, snr, 1, [trial]) == [together[trial]]
+
+
+def test_chunks_are_contiguous_and_near_equal():
+    assert _chunks(range(3, 8), 2) == [range(3, 6), range(6, 8)]
+    assert _chunks(range(3, 8), 3) == [range(3, 5), range(5, 7), range(7, 8)]
+    assert _chunks(range(0, 2), 3) == [range(0, 1), range(1, 2)]
+
+
+def test_csv_bytes_do_not_depend_on_workers_or_chunks(tmp_path):
+    # batches of 5 and 2 frames, cut into uneven chunks for 2 and 3 workers
+    cfg = quiet_config(trials=7, batch_frames=5, ebn0_db=(2.0, 10.0), dnp_mode="refresh")
+    outputs = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"workers{workers}.csv"
+        write_csv(run_experiment(cfg, workers=workers), path)
+        outputs.append(path.read_bytes())
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_noiseless_ideal_hardware_is_error_free():

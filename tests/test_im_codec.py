@@ -9,6 +9,7 @@ from impilot.im_codec import (
     IndexPattern,
     UnmappedPatternError,
     assemble_block,
+    assemble_blocks,
     disassemble_block,
     index_bits_per_subblock,
     rank_indices,
@@ -196,3 +197,22 @@ def test_se_validation():
         se_conventional(64, 64, 4)
     with pytest.raises(ValueError):
         se_fsc(16, 4, 16, 4)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [BlockGeometry(), BlockGeometry(block_length=32, pilots_per_subblock=2)],
+)
+def test_stacked_assembly_rows_match_one_block_assembly(geometry):
+    rng = np.random.default_rng(21)
+    data = build_data_alphabet(4)
+    pilots = build_pilot_alphabet(4, 4.0).points
+    rows = 6
+    index_bits = rng.integers(0, 2, (rows, geometry.index_bits_per_block))
+    symbol_bits = rng.integers(0, 2, (rows, geometry.symbol_bits_per_block(4)))
+    values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
+    symbols, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
+    for f in range(rows):
+        block = assemble_block(index_bits[f], symbol_bits[f], values[f], geometry, data)
+        assert np.array_equal(symbols[f], block.symbols)
+        assert IndexPattern.from_array(pattern[f]) == block.pattern

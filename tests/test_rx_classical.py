@@ -10,6 +10,8 @@ from impilot.rx_classical import (
     ls_estimate,
     mmse_estimate,
     pilot_matrix,
+    solve_two_path_ls,
+    solve_two_path_ls_rows,
 )
 
 PREAMBLE = np.array([1.0, 1.0j])
@@ -153,3 +155,35 @@ def test_qpsk_awgn_ber_matches_q_function():
     ber = np.count_nonzero(rx_bits != bits) / bits.size
     expected = 0.5 * math.erfc(math.sqrt(ebn0))
     assert abs(ber / expected - 1.0) < 0.05
+
+
+def test_row_solver_matches_one_row_solver_bit_for_bit():
+    rng = np.random.default_rng(8)
+    pilots = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
+    pilots[7] = 2.0  # collinear with its conjugate
+    received = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
+    estimates, solved = solve_two_path_ls_rows(pilots, received)
+    for f in range(50):
+        alone = solve_two_path_ls(pilots[f], received[f])
+        if alone is None:
+            assert not solved[f] and not estimates[f].any()
+        else:
+            assert solved[f] and estimates[f].tobytes() == alone.tobytes()
+    assert not solved[7]
+
+
+def test_detect_symbols_stacked_rows():
+    rng = np.random.default_rng(9)
+    const = build_data_alphabet(4)
+    y = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
+    h = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    symbols, bits = detect_symbols(y, h, const)
+    assert bits.shape == (5, 64)
+    for f in range(5):
+        alone_symbols, alone_bits = detect_symbols(y[f], h[f], const)
+        assert np.array_equal(symbols[f], alone_symbols)
+        assert np.array_equal(bits[f], alone_bits)
+    with pytest.raises(ValueError):
+        detect_symbols(y, h[:4], const)
+    with pytest.raises(ValueError):
+        detect_symbols(y, np.zeros((5, 2)), const)

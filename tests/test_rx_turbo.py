@@ -1,17 +1,29 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impilot.constellation import build_data_alphabet, build_pilot_alphabet
-from impilot.im_codec import BlockGeometry, IndexPattern, assemble_block
+from impilot.im_codec import (
+    BlockGeometry,
+    IndexPattern,
+    UnmappedPatternError,
+    assemble_block,
+    assemble_blocks,
+    rank_indices,
+)
 from impilot.impairments import RxImpairments, TxImpairments
 from impilot.rx_turbo import (
+    _demap_indices,
     coarse_detect,
     extrinsic_ls,
     llr_values,
     prior_dnp,
     turbo_receive,
+    turbo_receive_frames,
 )
 
 GEOMETRY = BlockGeometry()
@@ -380,3 +392,101 @@ def test_turbo_validation():
             np.zeros(8, dtype=complex), np.array([1.0, 0.0]), tiny, DATA, PILOT,
             PILOT.points[:2], make_rx(1.0), 1.0,
         )
+
+
+def assert_row_matches(row, alone):
+    assert row.pattern == alone.pattern
+    assert row.channel_estimate.tobytes() == alone.channel_estimate.tobytes()
+    for name in ("iterations", "converged", "ls_fallbacks", "restarted"):
+        assert getattr(row, name) == getattr(alone, name)
+    for name in ("index_bits", "unmapped", "symbol_bits"):
+        assert np.array_equal(getattr(row, name), getattr(alone, name))
+
+
+def test_stacked_rows_match_one_block_calls():
+    # noisy blocks with outdated priors, so the rows of one stack leave the
+    # iteration at different steps and some of them go through the rescue
+    rng = np.random.default_rng(13)
+    tx = TxImpairments(0.2, math.radians(2.0))
+    rx = make_rx(0.2, 0.02)
+    received, priors, pilots = [], [], []
+    for _ in range(60):
+        block, values = random_block(rng)
+        h = np.array([tx.direct_coeff, tx.image_coeff]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        noise = math.sqrt(0.1) * (rng.normal(size=64) + 1j * rng.normal(size=64))
+        received.append(block.symbols * h[0] + np.conj(block.symbols) * h[1] + noise)
+        priors.append(h * np.exp(1j * rng.uniform(-0.6, 0.6)))
+        pilots.append(values)
+    options = dict(max_iterations=8, dnp_mode="refresh")
+    stacked = turbo_receive_frames(
+        np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
+        rx, TRANSMIT_POWER, **options,
+    )
+    assert stacked.restarted.any()
+    assert len(set(stacked.iterations.tolist())) > 3
+    for f in range(60):
+        alone = turbo_receive(
+            received[f], priors[f], GEOMETRY, DATA, PILOT, pilots[f], rx,
+            TRANSMIT_POWER, **options,
+        )
+        assert_row_matches(stacked.row(f), alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(
+        [(64, 8, 1), (48, 8, 1), (32, 8, 2), (64, 4, 2), (64, 4, 3), (12, 3, 1)]
+    ),
+    frames=st.integers(1, 6),
+    noise_variance=st.floats(0.001, 1.0),
+    dnp_mode=st.sampled_from(["prior", "refresh"]),
+    max_iterations=st.integers(1, 8),
+    use_stopping=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_match_one_block_calls_for_any_geometry(
+    shape, frames, noise_variance, dnp_mode, max_iterations, use_stopping, seed
+):
+    block_length, subblocks, pilots_per_subblock = shape
+    geometry = BlockGeometry(block_length, subblocks, pilots_per_subblock)
+    rng = np.random.default_rng(seed)
+    index_bits = rng.integers(0, 2, (frames, geometry.index_bits_per_block))
+    symbol_bits = rng.integers(0, 2, (frames, geometry.symbol_bits_per_block(4)))
+    # any pilot values, degenerate sets included
+    pilots = PILOT.points[rng.integers(0, 4, (frames, geometry.pilots_per_block))]
+    symbols, _ = assemble_blocks(index_bits, symbol_bits, pilots, geometry, DATA)
+    h = rng.normal(size=(frames, 2)) + 1j * rng.normal(size=(frames, 2))
+    noise = rng.normal(size=symbols.shape) + 1j * rng.normal(size=symbols.shape)
+    received = (
+        symbols * h[:, :1]
+        + np.conj(symbols) * h[:, 1:]
+        + math.sqrt(noise_variance / 2) * noise
+    )
+    priors = h * np.exp(1j * rng.uniform(-0.8, 0.8, (frames, 1)))
+    rx = make_rx(noise_variance, 0.01)
+    options = dict(
+        max_iterations=max_iterations, use_stopping=use_stopping, dnp_mode=dnp_mode
+    )
+    stacked = turbo_receive_frames(
+        received, priors, geometry, DATA, PILOT, pilots, rx, TRANSMIT_POWER, **options
+    )
+    for f in range(frames):
+        alone = turbo_receive(
+            received[f], priors[f], geometry, DATA, PILOT, pilots[f], rx,
+            TRANSMIT_POWER, **options,
+        )
+        assert_row_matches(stacked.row(f), alone)
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (6, 1), (4, 2), (8, 2), (7, 3)])
+def test_position_table_matches_rank_indices(n, k):
+    subsets = list(itertools.combinations(range(n), k))
+    bits, unmapped = _demap_indices(np.array([subsets]), n, k)
+    bits = bits.reshape(len(subsets), -1)
+    for subset, word, flagged in zip(subsets, bits, unmapped[0]):
+        try:
+            expected = rank_indices(tuple(i + 1 for i in subset), n, k)
+        except UnmappedPatternError:
+            assert flagged and not word.any()
+        else:
+            assert not flagged and tuple(word) == expected
