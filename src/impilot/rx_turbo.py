@@ -71,36 +71,27 @@ def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     return float(dnp) if dnp.ndim == 0 else dnp
 
 
-def _min_last(x: np.ndarray) -> np.ndarray:
-    """``x.min(axis=-1)``, one elementwise minimum per entry of the short
-    last axis instead of one reduction per row."""
-    out = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        out = np.minimum(out, x[..., k])
-    return out
-
-
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` with the same bits, one elementwise add per entry
-    of a short last axis.  numpy adds fewer than eight entries in order and
-    longer rows pairwise, so longer rows go to numpy."""
-    if x.shape[-1] >= 8:
-        return x.sum(axis=-1)
-    out = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        out = out + x[..., k]
-    return out
-
-
 def _neg_lse(d2: np.ndarray, dnp) -> np.ndarray:
-    """log sum_k exp(-d2_k / dnp) over the last axis, max-shifted for stability."""
-    m = _min_last(d2)
-    shifted = np.exp((m[..., None] - d2) / np.asarray(dnp)[..., None])
-    return -m / dnp + np.log(_sum_last(shifted))
+    """log sum_k exp(-d2[k] / dnp) over the leading (candidate) axis,
+    max-shifted for stability.
 
-
-def _candidate_models(points: np.ndarray, h_direct, h_image) -> np.ndarray:
-    return np.multiply.outer(h_direct, points) + np.multiply.outer(h_image, np.conj(points))
+    Each candidate's distances are one contiguous slab, so the minimum and
+    the sum over candidates are a few elementwise operations.  They give the
+    bits of numpy's reductions over a last axis: the minimum is exact, and
+    numpy adds fewer than eight entries in order but more of them pairwise,
+    so more than seven candidates go to numpy's own sum.
+    """
+    m = d2[0]
+    for k in range(1, d2.shape[0]):
+        m = np.minimum(m, d2[k])
+    shifted = np.exp((m - d2) / dnp)
+    if shifted.shape[0] >= 8:
+        total = np.ascontiguousarray(np.moveaxis(shifted, 0, -1)).sum(axis=-1)
+    else:
+        total = shifted[0]
+        for k in range(1, shifted.shape[0]):
+            total = total + shifted[k]
+    return -m / dnp + np.log(total)
 
 
 def llr_values(
@@ -125,20 +116,23 @@ def llr_values(
         raise ValueError("distortion-plus-noise power must be positive")
 
     channel = np.asarray(channel, dtype=complex)
-    h_direct = channel[..., 0]
-    h_image = channel[..., 1]
     y = np.asarray(received, dtype=complex)
+    shape = np.broadcast_shapes(y.shape, channel.shape[:-1], dnp_arr.shape)
+    h = channel.reshape((1,) * (len(shape) + 1 - channel.ndim) + channel.shape)
 
     prior = math.log(
         pilots_per_subblock
         * data_alphabet.order
         / (pilot_alphabet.order * (subblock_length - pilots_per_subblock))
     )
-    # Squared distances to every pilot candidate, then every data candidate.
+    # Squared distances to every pilot candidate, then every data candidate,
+    # on a leading candidate axis.
     points = np.concatenate([pilot_alphabet.points, data_alphabet.points])
-    d2 = np.abs(y[..., None] - _candidate_models(points, h_direct, h_image)) ** 2
+    points = points.reshape((-1,) + (1,) * len(shape))
+    d2 = np.abs(y - (h[..., 0] * points + h[..., 1] * np.conj(points))) ** 2
+    dnp_arr = np.broadcast_to(dnp_arr, shape)
     n_pilot = pilot_alphabet.order
-    eta = prior + _neg_lse(d2[..., :n_pilot], dnp_arr) - _neg_lse(d2[..., n_pilot:], dnp_arr)
+    eta = prior + _neg_lse(d2[:n_pilot], dnp_arr) - _neg_lse(d2[n_pilot:], dnp_arr)
     if eta.ndim == 0:
         return float(eta)
     return eta
