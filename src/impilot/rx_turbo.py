@@ -242,6 +242,7 @@ class TurboFrames:
     restarted: np.ndarray
 
     def row(self, frame: int) -> TurboResult:
+        """One frame's output as a :class:`TurboResult`."""
         return TurboResult(
             pattern=IndexPattern.from_array(self.pattern[frame]),
             channel_estimate=self.channel_estimate[frame],

@@ -10,10 +10,13 @@ screen fires and its rescue candidates get adopted.  The last two cases
 cover index demapping: undecodable position sets, and the fixed table for
 two pilots in four positions.
 
-To regenerate after a deliberate change of the CSV bytes, call
-``write_golden(directory)`` and say in CHANGES.md why the bytes moved.
+``golden_sums.json`` holds the exact sums behind every row, so a change in
+the last bit of any estimate shows even where the printed digits hide it.
+To regenerate after a deliberate change, call ``write_golden(directory)``
+and say in CHANGES.md why the numbers moved.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -63,17 +66,50 @@ CASES = {
 }
 
 
+SUMS = DATA / "golden_sums.json"
+
+
 def golden_path(name: str) -> Path:
     return DATA / f"golden_{name}.csv"
 
 
+def point_sums(result) -> list:
+    """Every sum behind each CSV row, floats as exact hex strings: nine
+    printed digits would hide a last-bit change in the channel estimates."""
+    return [
+        {
+            key: value.hex() if isinstance(value, float) else value
+            for key, value in vars(point).items()
+            if key not in ("ebn0_db", "gamma", "scheme")
+        }
+        for point in result.points
+    ]
+
+
 def write_golden(directory) -> None:
+    sums = {}
     for name, config in CASES.items():
-        write_csv(run_experiment(config), Path(directory) / golden_path(name).name)
+        result = run_experiment(config)
+        write_csv(result, Path(directory) / golden_path(name).name)
+        sums[name] = point_sums(result)
+    text = json.dumps(sums, indent=1, sort_keys=True) + "\n"
+    (Path(directory) / SUMS.name).write_text(text, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def results():
+    return {name: run_experiment(config) for name, config in CASES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_csv_matches_golden_bytes(name, tmp_path):
+def test_csv_matches_golden_bytes(name, results, tmp_path):
     out = tmp_path / "run.csv"
-    write_csv(run_experiment(CASES[name]), out)
+    write_csv(results[name], out)
     assert out.read_bytes() == golden_path(name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sums_match_golden_bits(name, results):
+    expected = json.loads(SUMS.read_text(encoding="utf-8"))[name]
+    got = json.loads(json.dumps(point_sums(results[name])))
+    assert got == expected
