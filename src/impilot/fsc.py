@@ -206,6 +206,8 @@ def run_fsc_trials(
     impulse response, then runs CP framing, convolution, equalization and
     correlation detection.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if pilot_seq is None:
         pilot_seq = zadoff_chu(geometry.pilot_length)
     chunk = np.concatenate([pilot_seq[-geometry.cp_length :], pilot_seq])

@@ -14,13 +14,17 @@ single output byte.
 import hashlib
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
-from .channel import (
+# propagate_block, assemble_block and turbo_receive, the one-block forms, are
+# not called here; they stay importable from this module for tools that wrap
+# its calls by name.
+from .channel import (  # noqa: F401
     FADING_MODES,
     evolve,
     initial_state,
@@ -34,8 +38,6 @@ from .constellation import (
     map_bits_array,
     scaled,
 )
-# assemble_block and turbo_receive, the one-block forms, are not called here;
-# they stay importable from this module for tools that wrap its calls by name.
 from .im_codec import (  # noqa: F401
     BlockGeometry,
     assemble_block,
@@ -44,13 +46,7 @@ from .im_codec import (  # noqa: F401
     se_proposed,
 )
 from .impairments import RxImpairments, TxImpairments
-from .rx_classical import (
-    DegeneratePilotSetError,
-    detect_symbols,
-    ls_estimate,
-    mmse_estimate,
-    solve_two_path_ls_rows,
-)
+from .rx_classical import detect_symbols, ls_estimate, mmse_estimate
 from .rx_turbo import DNP_MODES, turbo_receive, turbo_receive_frames  # noqa: F401
 
 __all__ = [
@@ -82,6 +78,15 @@ CSV_HEADER = (
 )
 
 _MMSE_PRIOR_RIDGE = 1e-6
+
+_FINITE_FIELDS = (
+    "gamma",
+    "path_gain",
+    "amplitude_imbalance",
+    "phase_imbalance_deg",
+    "phase_step_std_deg",
+    "distortion_level_db",
+)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,11 @@ class SystemConfig:
                 f"ebn0_db must be a list of numbers, got {self.ebn0_db!r}"
             ) from None
         object.__setattr__(self, "ebn0_db", ebn0_db)
+        if not all(map(math.isfinite, ebn0_db)):
+            raise ValueError(f"ebn0_db values must be finite, got {ebn0_db}")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.fading_mode not in FADING_MODES:
@@ -133,6 +143,8 @@ class SystemConfig:
             raise ValueError("gamma must be positive")
         if self.path_gain <= 0:
             raise ValueError("path_gain must be positive")
+        if self.phase_step_std_deg < 0:
+            raise ValueError("phase_step_std_deg must be >= 0")
         if not self.ebn0_db:
             raise ValueError("ebn0_db grid must not be empty")
         if self.trials < 1:
@@ -351,9 +363,12 @@ def _simulate_frames(
 ) -> list:
     """Tallies of the frames ``trial_indices`` of one SNR point, in order.
 
+    The frames run in lockstep: block k of every frame, then block k+1.
     Each frame draws from its own stream, seeded by the master seed and the
     frame's grid coordinates, and consumes it in the same order whatever
     frames it runs with, so a frame's tally does not depend on its company.
+    Only the block's draws and assembly and its estimation depend on the
+    scheme; propagation, detection and scoring see the whole stack at once.
     """
     rngs = [
         np.random.default_rng(
@@ -363,31 +378,36 @@ def _simulate_frames(
         )
         for trial in trial_indices
     ]
-    if config.scheme in ("classical_ls", "classical_mmse"):
-        return [_classical_frame(config, ebn0_db, rng) for rng in rngs]
-    return _flexible_frames(config, ebn0_db, rngs)
-
-
-def _flexible_frames(config: SystemConfig, ebn0_db: float, rngs: list) -> list:
-    """Index-modulated frames run in lockstep: block k of every frame, then
-    block k+1.  The draws stay per frame and in order; the receiver and the
-    scoring see the whole stack at once."""
     g = config.geometry
     tx = config.tx_impairments()
     rx = RxImpairments(
         distortion_level=config.distortion_level,
         noise_variance=config.noise_variance_for(ebn0_db),
     )
-    data_const, pilot_const = config.alphabets()
-    transmit_power = config.transmit_power()
-    genie_pattern = config.scheme == "lower_bound_perfect_pattern"
+    scheme = config.scheme
+    classical = scheme in ("classical_ls", "classical_mmse")
+    if classical:
+        data_const = build_data_alphabet(config.data_order)
+        preamble = _unit_preamble(g.preamble_length)
+        n_index_bits = 0
+        n_data = g.block_length - g.preamble_length
+    else:
+        data_const, pilot_const = config.alphabets()
+        transmit_power = config.transmit_power()
+        n_index_bits = g.index_bits_per_block
+        n_data = g.data_per_block
+        offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
+    if scheme == "classical_mmse":
+        prior = _mmse_prior(config)
+        received_power = config.path_gain**2 * (
+            abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2
+        )
+        dnp = config.distortion_level * received_power + rx.noise_variance
 
     frames = len(rngs)
     rows = np.arange(frames)
     bits_per_sub = g.index_bits_per_subblock
-    n_index_bits = g.index_bits_per_block
-    n_symbol_bits = g.data_per_block * data_const.bits_per_symbol
-    offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
+    n_symbol_bits = n_data * data_const.bits_per_symbol
 
     index_bit_errors = np.zeros(frames, dtype=np.int64)
     symbol_bit_errors = np.zeros(frames, dtype=np.int64)
@@ -398,48 +418,38 @@ def _flexible_frames(config: SystemConfig, ebn0_db: float, rngs: list) -> list:
     iteration_counts = np.zeros((frames, config.max_iterations), dtype=np.int64)
 
     states = [initial_state(tx, rng, config.path_gain) for rng in rngs]
-    preamble = _unit_preamble(g.init_preamble_length)
-    h_prior = np.array(
-        [
-            ls_estimate(preamble, propagate_block(preamble, state, tx, rx, rng))
-            for state, rng in zip(states, rngs)
-        ]
-    )
+    h_true = np.array([state.equivalent(tx) for state in states])
+    if not classical:
+        # The flexible schemes open each frame with a known preamble.
+        init = _unit_preamble(g.init_preamble_length)
+        h_prior = ls_estimate(
+            init, propagate_blocks(np.tile(init, (frames, 1)), h_true, rx, rngs)
+        )
 
-    h_true = np.empty((frames, 2), dtype=complex)
     index_bits = np.empty((frames, n_index_bits), dtype=np.uint8)
     symbol_bits = np.empty((frames, n_symbol_bits), dtype=np.uint8)
 
     for _ in range(g.blocks_per_frame):
         # Each frame draws its channel step, index bits, symbol bits, pilot
-        # values and, inside propagate_blocks, its noise, in that order.
+        # values and, inside propagate_blocks, its noise, in that order; the
+        # classical schemes draw no index bits and no pilots.
         for f, rng in enumerate(rngs):
             states[f] = evolve(states[f], config.fading_mode, tx, rng)
-            index_bits[f] = rng.integers(0, 2, n_index_bits)
-            symbol_bits[f] = rng.integers(0, 2, n_symbol_bits)
             h_true[f] = states[f].equivalent(tx)
-        pilots = _draw_pilot_rows(rngs, pilot_const.points, g.pilots_per_block)
-        symbols, true_pattern = assemble_blocks(
-            index_bits, symbol_bits, pilots, g, data_const
-        )
+            if not classical:
+                index_bits[f] = rng.integers(0, 2, n_index_bits)
+            symbol_bits[f] = rng.integers(0, 2, n_symbol_bits)
+        if classical:
+            data = map_bits_array(symbol_bits, data_const).reshape(frames, n_data)
+            symbols = np.concatenate([np.tile(preamble, (frames, 1)), data], axis=1)
+        else:
+            pilots = _draw_pilot_rows(rngs, pilot_const.points, g.pilots_per_block)
+            symbols, true_pattern = assemble_blocks(
+                index_bits, symbol_bits, pilots, g, data_const
+            )
         y = propagate_blocks(symbols, h_true, rx, rngs)
 
-        if genie_pattern:
-            positions = (true_pattern + offsets).reshape(frames, -1)
-            h_hat, solved = solve_two_path_ls_rows(
-                pilots, np.take_along_axis(y, positions, axis=1)
-            )
-            if not solved.all():
-                raise DegeneratePilotSetError(
-                    "degenerate pilot set: pilot column is collinear with its conjugate"
-                )
-            data = np.ones((frames, g.block_length), dtype=bool)
-            np.put_along_axis(data, positions, False, axis=1)
-            _, rx_symbol_bits = detect_symbols(
-                y[data].reshape(frames, -1), h_hat, data_const
-            )
-            symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
-        else:
+        if scheme == "proposed_turbo":
             result = turbo_receive_frames(
                 y,
                 h_prior,
@@ -455,18 +465,32 @@ def _flexible_frames(config: SystemConfig, ebn0_db: float, rngs: list) -> list:
             )
             h_hat = result.channel_estimate
             h_prior = h_hat
+            rx_symbol_bits = result.symbol_bits
             iteration_counts[rows, result.iterations - 1] += 1
             fallbacks += result.ls_fallbacks
-            symbol_bit_errors += np.count_nonzero(
-                symbol_bits != result.symbol_bits, axis=1
-            )
             truth = index_bits.reshape(frames, g.subblocks, bits_per_sub)
             guess = result.index_bits.reshape(frames, g.subblocks, bits_per_sub)
             per_sub = (truth != guess).sum(axis=2)
             per_sub[result.unmapped] = bits_per_sub
             index_bit_errors += per_sub.sum(axis=1)
             pattern_errors += np.any(result.pattern != true_pattern, axis=2).sum(axis=1)
+        elif scheme == "lower_bound_perfect_pattern":
+            positions = (true_pattern + offsets).reshape(frames, -1)
+            h_hat = ls_estimate(pilots, np.take_along_axis(y, positions, axis=1))
+            is_data = np.ones((frames, g.block_length), dtype=bool)
+            np.put_along_axis(is_data, positions, False, axis=1)
+            data = y[is_data].reshape(frames, n_data)
+            _, rx_symbol_bits = detect_symbols(data, h_hat, data_const)
+        else:
+            received = y[:, : g.preamble_length]
+            if scheme == "classical_mmse":
+                h_hat = mmse_estimate(preamble, received, dnp, prior)
+            else:
+                h_hat = ls_estimate(preamble, received)
+            data = y[:, g.preamble_length :]
+            _, rx_symbol_bits = detect_symbols(data, h_hat, data_const)
 
+        symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
         mse_num += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
         mse_den += np.sum(np.abs(h_true) ** 2, axis=1)
 
@@ -480,57 +504,13 @@ def _flexible_frames(config: SystemConfig, ebn0_db: float, rngs: list) -> list:
             mse_num=float(mse_num[f]),
             mse_den=float(mse_den[f]),
             pattern_errors=int(pattern_errors[f]),
-            subblocks=g.subblocks * blocks,
+            subblocks=0 if classical else g.subblocks * blocks,
             blocks=blocks,
             fallbacks=int(fallbacks[f]),
             iteration_counts=tuple(int(c) for c in iteration_counts[f]),
         )
         for f in range(frames)
     ]
-
-
-def _classical_frame(config: SystemConfig, ebn0_db: float, rng) -> FrameTally:
-    g = config.geometry
-    tx = config.tx_impairments()
-    rx = RxImpairments(
-        distortion_level=config.distortion_level,
-        noise_variance=config.noise_variance_for(ebn0_db),
-    )
-    const = build_data_alphabet(config.data_order)
-    preamble = _unit_preamble(g.preamble_length)
-    n_data = g.block_length - g.preamble_length
-    n_bits = n_data * const.bits_per_symbol
-    use_mmse = config.scheme == "classical_mmse"
-    if use_mmse:
-        prior = _mmse_prior(config)
-        received_power = (
-            config.path_gain**2
-            * (abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2)
-        )
-        dnp = config.distortion_level * received_power + rx.noise_variance
-
-    tally = FrameTally(iteration_counts=())
-    state = initial_state(tx, rng, config.path_gain)
-
-    for _ in range(g.blocks_per_frame):
-        state = evolve(state, config.fading_mode, tx, rng)
-        bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-        symbols = np.concatenate([preamble, map_bits_array(bits, const)])
-        y = propagate_block(symbols, state, tx, rx, rng)
-        if use_mmse:
-            h_hat = mmse_estimate(preamble, y[: g.preamble_length], dnp, prior)
-        else:
-            h_hat = ls_estimate(preamble, y[: g.preamble_length])
-        _, rx_bits = detect_symbols(y[g.preamble_length :], h_hat, const)
-        tally.symbol_bit_errors += count_bit_errors(bits, rx_bits)
-        tally.symbol_bits += n_bits
-        tally.blocks += 1
-        h_true = state.equivalent(tx)
-        tally.mse_num += float(np.sum(np.abs(h_hat - h_true) ** 2))
-        tally.mse_den += float(np.sum(np.abs(h_true) ** 2))
-
-    tally.iteration_counts = ()
-    return tally
 
 
 @dataclass
@@ -622,42 +602,26 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _merge_point(
-    config: SystemConfig, ebn0_db: float, tallies: list
-) -> PointResult:
-    counts = np.zeros(config.max_iterations, dtype=np.int64)
-    merged = FrameTally()
-    for t in tallies:
-        merged.index_bit_errors += t.index_bit_errors
-        merged.index_bits += t.index_bits
-        merged.symbol_bit_errors += t.symbol_bit_errors
-        merged.symbol_bits += t.symbol_bits
-        merged.mse_num += t.mse_num
-        merged.mse_den += t.mse_den
-        merged.pattern_errors += t.pattern_errors
-        merged.subblocks += t.subblocks
-        merged.blocks += t.blocks
-        merged.fallbacks += t.fallbacks
-        if t.iteration_counts:
-            counts += np.asarray(t.iteration_counts, dtype=np.int64)
+def _add_tallies(a: FrameTally, b: FrameTally) -> FrameTally:
+    """Field-by-field sum; iteration counts add per iteration."""
+    sums = {}
+    for f in fields(FrameTally):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        sums[f.name] = tuple(map(operator.add, x, y)) if isinstance(x, tuple) else x + y
+    return FrameTally(**sums)
+
+
+def _merge_point(config: SystemConfig, ebn0_db: float, tallies: list) -> PointResult:
+    """One point's sums over its frames, added in frame order."""
+    merged = asdict(reduce(_add_tallies, tallies))
+    if config.scheme != "proposed_turbo":
+        merged["iteration_counts"] = ()
     return PointResult(
         ebn0_db=ebn0_db,
         gamma=config.gamma,
         scheme=config.scheme,
         frames=len(tallies),
-        blocks=merged.blocks,
-        index_bit_errors=merged.index_bit_errors,
-        index_bits=merged.index_bits,
-        symbol_bit_errors=merged.symbol_bit_errors,
-        symbol_bits=merged.symbol_bits,
-        mse_num=merged.mse_num,
-        mse_den=merged.mse_den,
-        pattern_errors=merged.pattern_errors,
-        subblocks=merged.subblocks,
-        fallbacks=merged.fallbacks,
-        iteration_counts=tuple(int(c) for c in counts)
-        if config.scheme == "proposed_turbo"
-        else (),
+        **merged,
     )
 
 
@@ -671,6 +635,8 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
     the same (config, seed) the output is bit-identical for any worker
     count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     result = ExperimentResult(config=config)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -81,32 +81,48 @@ def solve_two_path_ls_rows(pilots, received):
     return estimates, solved
 
 
+def _sample_rows(pilots, received):
+    """Pilots and received samples as ``(rows, n)`` arrays, and whether the
+    samples came stacked; ``pilots`` may be one sequence shared by every row."""
+    received = np.asarray(received, dtype=complex)
+    stacked = received.ndim == 2
+    received = received.reshape(received.shape[0] if stacked else 1, -1)
+    pilots = np.asarray(pilots, dtype=complex)
+    if pilots.ndim != 2:
+        pilots = pilots.reshape(1, -1)
+    if pilots.shape[1] != received.shape[1]:
+        raise ValueError("pilots and received samples must have the same length")
+    return np.broadcast_to(pilots, received.shape), received, stacked
+
+
 def ls_estimate(pilots, received) -> np.ndarray:
     """Least-squares two-entry channel estimate from known pilots.
 
     Requires at least two pilots whose phases are not all equal modulo pi;
     otherwise the pilot and its conjugate are collinear and the fit is
-    underdetermined.
+    underdetermined.  Received samples stacked as ``(rows, n)``, with the
+    pilots as one shared sequence or as ``(rows, n)``, give ``(rows, 2)``
+    estimates, each with the bits of a one-row call.
     """
-    pilots = np.asarray(pilots, dtype=complex).reshape(-1)
-    received = np.asarray(received, dtype=complex).reshape(-1)
-    if pilots.size < 2:
+    pilots, received, stacked = _sample_rows(pilots, received)
+    if pilots.shape[1] < 2:
         raise ValueError("at least two pilot symbols are required")
-    if pilots.size != received.size:
-        raise ValueError("pilots and received samples must have the same length")
-    solution = solve_two_path_ls(pilots, received)
-    if solution is None:
+    estimates, solved = solve_two_path_ls_rows(pilots, received)
+    if not solved.all():
         raise DegeneratePilotSetError(
             "degenerate pilot set: pilot column is collinear with its conjugate"
         )
-    return solution
+    return estimates if stacked else estimates[0]
 
 
 def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> np.ndarray:
     """Linear MMSE estimate (P^H P + v C^-1)^-1 P^H y with prior covariance C.
 
     Reduces to LS as the noise variance goes to zero and shrinks to the zero
-    vector as it grows.
+    vector as it grows.  Received samples stacked as ``(rows, n)``, all sent
+    with the same pilot sequence, give ``(rows, 2)`` estimates, each with
+    the bits of a one-row call: P^H y is formed row by row, and the one
+    left-hand matrix is solved against every row.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
@@ -116,11 +132,13 @@ def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> 
     eigvals = np.linalg.eigvalsh(prior)
     if eigvals.min() <= 0:
         raise ValueError("prior covariance must be positive definite")
-    P = pilot_matrix(pilots)
-    received = np.asarray(received, dtype=complex).reshape(-1)
-    gram = P.conj().T @ P
-    rhs = P.conj().T @ received
-    return np.linalg.solve(gram + noise_variance * np.linalg.inv(prior), rhs)
+    pilots, received, stacked = _sample_rows(np.ravel(pilots), received)
+    P = pilot_matrix(pilots[0])
+    PH = P.conj().T
+    lhs = PH @ P + noise_variance * np.linalg.inv(prior)
+    rhs = np.array([PH @ row for row in received])
+    estimates = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    return estimates if stacked else estimates[0]
 
 
 def detect_symbols(received, channel_estimate, constellation: Constellation, noise_power=None):

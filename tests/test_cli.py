@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from impilot.cli import main, _parse_grid
 from impilot.harness import CSV_HEADER
 
@@ -94,3 +96,20 @@ def test_gamma_sweep_subcommand(tmp_path):
     assert code == 0
     lines = (out / "gamma_sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ber", "--workers", "0", "--trials", "1"], "workers"),
+        (["ber", "--workers", "-2", "--trials", "1"], "workers"),
+        (["ber", "--snr-db", "nan", "--trials", "1"], "ebn0_db"),
+        (["fsc", "--trials", "-1"], "trials"),
+        (["fsc", "--trials", "0"], "trials"),
+    ],
+)
+def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):
+    out = tmp_path / "res"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()

@@ -68,6 +68,19 @@ def test_config_rejects_unknown_keys():
         ("ebn0_db", 5),
         ("geometry", BlockGeometry(block_length=16, subblocks=2, blocks_per_frame=20)),
         ("geometry", BlockGeometry(init_preamble_length=1, blocks_per_frame=20)),
+        # Non-finite values ran to a silent NaN; a negative phase step failed
+        # mid-run.
+        ("ebn0_db", (4.0, math.nan)),
+        ("ebn0_db", (math.inf,)),
+        ("gamma", math.nan),
+        ("gamma", math.inf),
+        ("path_gain", math.inf),
+        ("amplitude_imbalance", math.nan),
+        ("phase_imbalance_deg", -math.inf),
+        ("phase_step_std_deg", math.nan),
+        ("phase_step_std_deg", -1.0),
+        ("distortion_level_db", math.nan),
+        ("distortion_level_db", -math.inf),
     ],
 )
 def test_config_field_validation(field, value):
@@ -195,6 +208,7 @@ def test_worker_count_does_not_change_results(tmp_path):
         dict(ebn0_db=(10.0,)),
         dict(ebn0_db=(4.0,), scheme="lower_bound_perfect_pattern"),
         dict(ebn0_db=(4.0,), scheme="classical_mmse"),
+        dict(ebn0_db=(4.0,), scheme="classical_ls"),
     ],
 )
 def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):

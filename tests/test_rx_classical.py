@@ -187,3 +187,40 @@ def test_detect_symbols_stacked_rows():
         detect_symbols(y, h[:4], const)
     with pytest.raises(ValueError):
         detect_symbols(y, np.zeros((5, 2)), const)
+
+
+@pytest.mark.parametrize("length", [2, 9])
+def test_stacked_estimates_match_one_row_calls_bit_for_bit(length):
+    # Nine samples cross numpy's eight-term pairwise-summation boundary.
+    rng = np.random.default_rng(10)
+    pilots = np.exp(1j * np.pi / 2.0 * np.arange(length))
+    row_pilots = rng.normal(size=(6, length)) + 1j * rng.normal(size=(6, length))
+    # Leading columns of wider rows, as a receiver slices a preamble off.
+    wide = rng.normal(size=(6, length + 5)) + 1j * rng.normal(size=(6, length + 5))
+    received = wide[:, :length]
+    prior = np.array([[1.0, 0.3 - 0.1j], [0.3 + 0.1j, 0.5]])
+    shared = ls_estimate(pilots, received)
+    per_row = ls_estimate(row_pilots, received)
+    mmse = mmse_estimate(pilots, received, 0.3, prior)
+    assert shared.shape == per_row.shape == mmse.shape == (6, 2)
+    P = pilot_matrix(pilots)
+    lhs = P.conj().T @ P + 0.3 * np.linalg.inv(prior)
+    for f in range(6):
+        assert shared[f].tobytes() == ls_estimate(pilots, received[f]).tobytes()
+        assert shared[f].tobytes() == solve_two_path_ls(pilots, received[f]).tobytes()
+        assert per_row[f].tobytes() == ls_estimate(row_pilots[f], received[f]).tobytes()
+        alone = mmse_estimate(pilots, received[f], 0.3, prior)
+        assert mmse[f].tobytes() == alone.tobytes()
+        # the closed form, one row at a time
+        oracle = np.linalg.solve(lhs, P.conj().T @ received[f])
+        assert mmse[f].tobytes() == oracle.tobytes()
+
+
+def test_stacked_ls_rejects_a_degenerate_row():
+    received = np.ones((3, 4), dtype=complex)
+    pilots = np.exp(1j * np.pi / 2.0 * np.arange(4)) * np.ones((3, 1))
+    pilots[1] = 2.0
+    with pytest.raises(DegeneratePilotSetError):
+        ls_estimate(pilots, received)
+    with pytest.raises(ValueError):
+        ls_estimate(pilots[:, :3], received)
