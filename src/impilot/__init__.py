@@ -1,44 +1,11 @@
 """Link-level simulation of a single-carrier system whose pilot positions
 carry information bits, with an iterative joint detection/estimation
 receiver, hardware-impairment models, analysis formulas, and a reproducible
-Monte Carlo harness."""
+Monte Carlo harness.
 
-from .analysis import (
-    NoBoundaryError,
-    boundary_residual,
-    complexity_multiplications,
-    correct_detection_probability,
-    simulated_detection_rate,
-    snr_after_estimation,
-    wrong_region_boundary,
-    wrong_region_width,
-)
-from .channel import (
-    FADING_MODES,
-    ChannelState,
-    equivalent_vector,
-    evolve,
-    initial_state,
-    propagate_block,
-)
-from .constellation import (
-    Constellation,
-    build_data_alphabet,
-    build_pilot_alphabet,
-    demap_hard,
-    map_bits,
-    min_cross_distance,
-    scaled,
-)
-from .fsc import (
-    FscGeometry,
-    SpectralNullError,
-    detect_start_index,
-    fsc_index_bits,
-    run_fsc_trials,
-    sliding_correlation,
-    zf_fde,
-)
+The package root holds what a sweep needs; everything else is reachable
+through its module (``impilot.rx_turbo``, ``impilot.analysis``, ...)."""
+
 from .harness import (
     SCHEMES,
     ExperimentResult,
@@ -49,34 +16,6 @@ from .harness import (
     run_iteration_histogram,
     write_csv,
 )
-from .im_codec import (
-    BlockGeometry,
-    DataBlock,
-    IndexPattern,
-    UnmappedPatternError,
-    assemble_block,
-    disassemble_block,
-    index_bits_per_subblock,
-    rank_indices,
-    se_conventional,
-    se_fsc,
-    se_proposed,
-    select_indices,
-)
-from .impairments import (
-    RxImpairments,
-    TxImpairments,
-    advance_phase_noise,
-    apply_tx_impairments,
-    sample_rx_distortion_noise,
-)
-from .rx_classical import (
-    DegeneratePilotSetError,
-    detect_symbols,
-    ls_estimate,
-    mmse_estimate,
-    pilot_matrix,
-)
-from .rx_turbo import TurboResult, coarse_detect, extrinsic_ls, llr_values, turbo_receive
+from .im_codec import BlockGeometry
 
 __version__ = "0.1.0"

@@ -54,8 +54,8 @@ def wrong_region_boundary(gamma: float) -> float:
     Found by bisection; raises :class:`NoBoundaryError` when the residual
     does not change sign on the interval (small or very large power ratios).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     lo, hi = 1e-6, QUARTER_PI
     f_lo = boundary_residual(gamma, lo)
     f_hi = boundary_residual(gamma, hi)

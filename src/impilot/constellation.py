@@ -49,7 +49,6 @@ class Constellation:
         gray = idx ^ (idx >> 1)
         inverse = np.empty(order, dtype=np.int64)
         inverse[gray] = idx
-        self._index_to_word = gray      # point index -> label value
         self._word_to_index = inverse   # label value -> point index
 
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)

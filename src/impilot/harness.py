@@ -40,6 +40,7 @@ from .constellation import (
 )
 from .im_codec import (  # noqa: F401
     BlockGeometry,
+    _check_integer_fields,
     assemble_block,
     assemble_blocks,
     se_conventional,
@@ -79,6 +80,16 @@ CSV_HEADER = (
 
 _MMSE_PRIOR_RIDGE = 1e-6
 
+_INTEGER_FIELDS = (
+    "data_order",
+    "pilot_order",
+    "trials",
+    "min_bit_errors",
+    "batch_frames",
+    "max_iterations",
+    "master_seed",
+)
+
 _FINITE_FIELDS = (
     "gamma",
     "path_gain",
@@ -116,6 +127,8 @@ class SystemConfig:
 
     def __post_init__(self):
         try:
+            if isinstance(self.ebn0_db, (str, bytes)):
+                raise TypeError
             ebn0_db = tuple(float(v) for v in self.ebn0_db)
         except (TypeError, ValueError):
             raise ValueError(
@@ -124,6 +137,13 @@ class SystemConfig:
         object.__setattr__(self, "ebn0_db", ebn0_db)
         if not all(map(math.isfinite, ebn0_db)):
             raise ValueError(f"ebn0_db values must be finite, got {ebn0_db}")
+        _check_integer_fields(self, _INTEGER_FIELDS)
+        for name in ("use_stopping_rule", "normalize_block_power"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(
+                    f"invalid config value: {name} must be true or false, "
+                    f"got {getattr(self, name)!r}"
+                )
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -155,6 +175,8 @@ class SystemConfig:
             raise ValueError("min_bit_errors must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self._check_runnable()
 
     def _check_runnable(self) -> None:
@@ -162,7 +184,7 @@ class SystemConfig:
         or fail mid-run: every least-squares fit of the two channel entries
         needs two pilots whose values are not all on one line."""
         g = self.geometry
-        if self.scheme in ("classical_ls", "classical_mmse"):
+        if self.classical:
             if g.preamble_length < 2:
                 raise ValueError(
                     f"geometry.preamble_length must be >= 2 for {self.scheme}, "
@@ -243,8 +265,19 @@ class SystemConfig:
         )
 
     @property
+    def classical(self) -> bool:
+        """Whether each block is estimated from a fixed preamble."""
+        return self.scheme in ("classical_ls", "classical_mmse")
+
+    @property
     def distortion_level(self) -> float:
         return 10.0 ** (self.distortion_level_db / 10.0)
+
+    @property
+    def power_gain(self) -> float:
+        """Received per transmitted power: path_gain^2 * (1 + imbalance^2)."""
+        tx = self.tx_impairments()
+        return self.path_gain**2 * (abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2)
 
     def alphabets(self) -> tuple[Constellation, Constellation]:
         data = build_data_alphabet(self.data_order)
@@ -259,16 +292,14 @@ class SystemConfig:
             pilot = scaled(pilot, 1.0 / power)
         return data, pilot
 
-    def spectral_efficiency(self, scheme: str | None = None) -> float:
-        scheme = scheme or self.scheme
+    def spectral_efficiency(self) -> float:
         g = self.geometry
-        if scheme in ("classical_ls", "classical_mmse"):
+        if self.classical:
             return se_conventional(g.block_length, g.preamble_length, self.data_order)
         return se_proposed(g.subblock_length, g.pilots_per_subblock, self.data_order)
 
-    def transmit_power(self, scheme: str | None = None) -> float:
-        scheme = scheme or self.scheme
-        if scheme in ("classical_ls", "classical_mmse"):
+    def transmit_power(self) -> float:
+        if self.classical:
             return 1.0
         data, pilot = self.alphabets()
         g = self.geometry
@@ -277,22 +308,18 @@ class SystemConfig:
             + g.data_per_block * data.average_power
         ) / g.block_length
 
-    def noise_variance_for(self, ebn0_db: float, scheme: str | None = None) -> float:
+    def noise_variance_for(self, ebn0_db: float) -> float:
         """Thermal noise variance realizing the requested per-bit SNR, with
-        average received power path_gain^2 * (1 + imbalance^2) * P_t."""
-        tx = self.tx_impairments()
-        received = (
-            self.path_gain**2
-            * (abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2)
-            * self.transmit_power(scheme)
-        )
-        return received / (self.spectral_efficiency(scheme) * 10.0 ** (ebn0_db / 10.0))
+        average received power power_gain * P_t."""
+        received = self.power_gain * self.transmit_power()
+        return received / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
 
 
 @dataclass
 class FrameTally:
-    """Additive per-frame scoring sums."""
+    """Additive scoring sums of one frame, or of several once added."""
 
+    frames: int = 0
     index_bit_errors: int = 0
     index_bits: int = 0
     symbol_bit_errors: int = 0
@@ -385,7 +412,8 @@ def _simulate_frames(
         noise_variance=config.noise_variance_for(ebn0_db),
     )
     scheme = config.scheme
-    classical = scheme in ("classical_ls", "classical_mmse")
+    classical = config.classical
+    turbo = scheme == "proposed_turbo"
     if classical:
         data_const = build_data_alphabet(config.data_order)
         preamble = _unit_preamble(g.preamble_length)
@@ -399,10 +427,7 @@ def _simulate_frames(
         offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
     if scheme == "classical_mmse":
         prior = _mmse_prior(config)
-        received_power = config.path_gain**2 * (
-            abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2
-        )
-        dnp = config.distortion_level * received_power + rx.noise_variance
+        dnp = config.distortion_level * config.power_gain + rx.noise_variance
 
     frames = len(rngs)
     rows = np.arange(frames)
@@ -449,7 +474,7 @@ def _simulate_frames(
             )
         y = propagate_blocks(symbols, h_true, rx, rngs)
 
-        if scheme == "proposed_turbo":
+        if turbo:
             result = turbo_receive_frames(
                 y,
                 h_prior,
@@ -497,6 +522,7 @@ def _simulate_frames(
     blocks = g.blocks_per_frame
     return [
         FrameTally(
+            frames=1,
             index_bit_errors=int(index_bit_errors[f]),
             index_bits=n_index_bits * blocks,
             symbol_bit_errors=int(symbol_bit_errors[f]),
@@ -507,31 +533,20 @@ def _simulate_frames(
             subblocks=0 if classical else g.subblocks * blocks,
             blocks=blocks,
             fallbacks=int(fallbacks[f]),
-            iteration_counts=tuple(int(c) for c in iteration_counts[f]),
+            iteration_counts=tuple(int(c) for c in iteration_counts[f]) if turbo else (),
         )
         for f in range(frames)
     ]
 
 
-@dataclass
-class PointResult:
-    """Aggregated scores for one SNR grid point."""
+@dataclass(kw_only=True)
+class PointResult(FrameTally):
+    """Aggregated scores for one SNR grid point: its frames' summed
+    :class:`FrameTally` plus where on the grid it sits."""
 
     ebn0_db: float
     gamma: float
     scheme: str
-    frames: int
-    blocks: int
-    index_bit_errors: int
-    index_bits: int
-    symbol_bit_errors: int
-    symbol_bits: int
-    mse_num: float
-    mse_den: float
-    pattern_errors: int
-    subblocks: int
-    fallbacks: int
-    iteration_counts: tuple
 
     @property
     def ber_index(self) -> float:
@@ -613,15 +628,11 @@ def _add_tallies(a: FrameTally, b: FrameTally) -> FrameTally:
 
 def _merge_point(config: SystemConfig, ebn0_db: float, tallies: list) -> PointResult:
     """One point's sums over its frames, added in frame order."""
-    merged = asdict(reduce(_add_tallies, tallies))
-    if config.scheme != "proposed_turbo":
-        merged["iteration_counts"] = ()
     return PointResult(
         ebn0_db=ebn0_db,
         gamma=config.gamma,
         scheme=config.scheme,
-        frames=len(tallies),
-        **merged,
+        **asdict(reduce(_add_tallies, tallies)),
     )
 
 

@@ -8,7 +8,8 @@ fixed four-row lookup table.
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "rank_indices",
     "assemble_block",
     "assemble_blocks",
+    "demap_patterns",
     "disassemble_block",
     "se_conventional",
     "se_proposed",
@@ -45,6 +47,21 @@ def index_bits_per_subblock(subblock_length: int, pilots_per_subblock: int) -> i
     """Number of bits a subblock's pilot placement can carry."""
     _check_subblock(subblock_length, pilots_per_subblock)
     return math.comb(subblock_length, pilots_per_subblock).bit_length() - 1
+
+
+def _check_integer_fields(config, names) -> None:
+    """Store each named field of a frozen config as a Python int, or raise
+    ValueError naming the field; bools and floats are not counts."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            object.__setattr__(config, name, operator.index(value))
+        except TypeError:
+            raise ValueError(
+                f"invalid config value: {name} must be an integer, got {value!r}"
+            ) from None
 
 
 def _check_subblock(subblock_length, pilots_per_subblock):
@@ -69,17 +86,6 @@ def _unrank_lex(rank: int, n: int, k: int) -> tuple:
         out.append(c)
         c += 1
     return tuple(out)
-
-
-def _rank_lex(subset: tuple, n: int) -> int:
-    rank = 0
-    k = len(subset)
-    prev = 0
-    for j, c in enumerate(subset):
-        for skipped in range(prev + 1, c):
-            rank += math.comb(n - skipped, k - j - 1)
-        prev = c
-    return rank
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +146,7 @@ class BlockGeometry:
     blocks_per_frame: int = 100
 
     def __post_init__(self):
+        _check_integer_fields(self, [f.name for f in fields(self)])
         if self.block_length < 2 or self.subblocks < 1:
             raise ValueError("block_length >= 2 and subblocks >= 1 required")
         if self.block_length % self.subblocks:
@@ -157,10 +164,6 @@ class BlockGeometry:
     @property
     def subblock_length(self) -> int:
         return self.block_length // self.subblocks
-
-    @property
-    def data_per_subblock(self) -> int:
-        return self.subblock_length - self.pilots_per_subblock
 
     @property
     def pilots_per_block(self) -> int:
@@ -280,6 +283,37 @@ def assemble_blocks(
     np.put_along_axis(symbols, positions, pilot_symbols, axis=1)
     symbols[~pilot_mask] = map_bits_array(symbol_bits.reshape(-1), data_alphabet)
     return symbols, pattern
+
+
+@lru_cache(maxsize=None)
+def _word_table(n: int, k: int):
+    """(weights, words, unmapped): the index word of every set of k pilot
+    positions out of n, addressed by the set's lexicographic rank.  Sorted
+    0-based offsets o_0 < ... have rank C(n, k) - 1 - sum_j weights[j, o_j];
+    ``words`` holds each rank's index bits (zeros where ``unmapped``)."""
+    weights = np.array(
+        [[math.comb(n - 1 - o, k - j) for o in range(n)] for j in range(k)], dtype=np.int64
+    )
+    count = math.comb(n, k)
+    ranks = count - 1 - weights[np.arange(k), _offset_table(n, k)].sum(axis=-1)
+    bits = index_bits_per_subblock(n, k)
+    words = np.zeros((count, bits), dtype=np.uint8)
+    words[ranks] = (np.arange(ranks.size)[:, None] >> np.arange(bits - 1, -1, -1)) & 1
+    unmapped = np.ones(count, dtype=bool)
+    unmapped[ranks] = False
+    return weights, words, unmapped
+
+
+def demap_patterns(pattern, subblock_length: int, pilots_per_subblock: int):
+    """Inverse of :func:`assemble_blocks`'s pattern: the index bits
+    (rows, subblocks * bits) and unmapped flags (rows, subblocks) of sorted
+    0-based position sets (rows, subblocks, pilots).  A position set that no
+    index word maps to reads as zero bits with its flag set."""
+    pattern = np.asarray(pattern)
+    weights, words, unmapped = _word_table(subblock_length, pilots_per_subblock)
+    picked = weights[np.arange(pilots_per_subblock), pattern].sum(axis=-1)
+    rank = words.shape[0] - 1 - picked
+    return words[rank].reshape(pattern.shape[0], -1), unmapped[rank]
 
 
 def assemble_block(

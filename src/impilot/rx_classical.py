@@ -141,12 +141,12 @@ def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> 
     return estimates if stacked else estimates[0]
 
 
-def detect_symbols(received, channel_estimate, constellation: Constellation, noise_power=None):
+def detect_symbols(received, channel_estimate, constellation: Constellation):
     """Per-symbol ML detection: argmin over the alphabet of
     |y - (c*h_direct + conj(c)*h_image)|^2.
 
-    The decision is invariant to the (optional) noise power; ties go to the
-    lowest constellation index.  Returns (symbols, bits).  A length-2
+    The decision does not depend on the noise power; ties go to the lowest
+    constellation index.  Returns (symbols, bits).  A length-2
     estimate applies to all of ``received``; estimates stacked as
     ``(rows, 2)`` apply row by row to ``(rows, n)`` samples, and the bits
     then come back as ``(rows, n * bits_per_symbol)``.

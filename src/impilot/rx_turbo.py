@@ -20,37 +20,32 @@ fit, screen, detection, index demapping) as arrays with a leading frame
 axis, shaped ``(F, subblocks, subblock_length)`` where the stage works per
 subblock.  A row leaves the iteration once it reaches a fixed point, a
 period-two oscillation or the budget, and the rescue runs on the rows the
-screen flags only.  Index words are read from a table of every position
-set, built from :func:`rank_indices` on first use.  Every row carries the
-same bits as if its block were processed alone; :func:`turbo_receive` is
-that one-block form.
+screen flags only.  Index words are read by
+:func:`impilot.im_codec.demap_patterns`.  Every row carries the same bits as
+if its block were processed alone; :func:`turbo_receive` is that one-block
+form.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .constellation import Constellation
-from .im_codec import (
-    BlockGeometry,
-    IndexPattern,
-    UnmappedPatternError,
-    index_bits_per_subblock,
-    rank_indices,
-)
+from .im_codec import BlockGeometry, IndexPattern, demap_patterns
 from .impairments import RxImpairments
-from .rx_classical import detect_symbols, solve_two_path_ls, solve_two_path_ls_rows
+from .rx_classical import detect_symbols, solve_two_path_ls_rows
+
+# rank_indices and solve_two_path_ls are not called here; they stay
+# importable from this module for tools that wrap its calls by name.
+from .im_codec import rank_indices  # noqa: F401
+from .rx_classical import solve_two_path_ls  # noqa: F401
 
 __all__ = [
     "TurboResult",
     "TurboFrames",
     "prior_dnp",
     "llr_values",
-    "coarse_detect",
-    "extrinsic_ls",
     "turbo_receive",
     "turbo_receive_frames",
 ]
@@ -61,13 +56,19 @@ SUSPICION_FACTOR = 1.15
 RESCUE_MARGIN = 3.0
 
 
+def _dnp(rx: RxImpairments, received_power):
+    """Distortion-plus-noise power at a received signal power: the power
+    times the distortion level, plus thermal noise, floored for numerical
+    stability."""
+    return np.maximum(rx.distortion_level * received_power + rx.noise_variance, DNP_FLOOR)
+
+
 def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
-    """Distortion-plus-noise power implied by a channel estimate: the
-    estimate's received-power prediction times the distortion level, plus
-    thermal noise, floored for numerical stability.  Estimates stacked on
-    leading axes give one value each."""
+    """Distortion-plus-noise power implied by a channel estimate's
+    received-power prediction.  Estimates stacked on leading axes give one
+    value each."""
     power = np.sum(np.abs(np.asarray(channel_estimate)) ** 2, axis=-1) * transmit_power
-    dnp = np.maximum(rx.distortion_level * power + rx.noise_variance, DNP_FLOOR)
+    dnp = _dnp(rx, power)
     return float(dnp) if dnp.ndim == 0 else dnp
 
 
@@ -161,55 +162,6 @@ def _two_path_ls_arrays(a, s2, r1, r2):
     return h_direct, h_image, solvable
 
 
-def coarse_detect(
-    received_block,
-    prior_estimate,
-    geometry: BlockGeometry,
-    data_alphabet: Constellation,
-    pilot_alphabet: Constellation,
-    dnp: float,
-) -> IndexPattern:
-    """Initial pilot-position pattern from the prior channel estimate alone."""
-    y = np.asarray(received_block, dtype=complex).reshape(
-        geometry.subblocks, geometry.subblock_length
-    )
-    eta = llr_values(
-        y,
-        np.asarray(prior_estimate, dtype=complex),
-        data_alphabet,
-        pilot_alphabet,
-        geometry.subblock_length,
-        geometry.pilots_per_subblock,
-        dnp,
-    )
-    return IndexPattern.from_array(_top_positions(eta, geometry.pilots_per_subblock))
-
-
-def extrinsic_ls(
-    received_block,
-    pattern: IndexPattern,
-    exclude_subblock: int,
-    pilot_values,
-    geometry: BlockGeometry,
-):
-    """LS channel fit from the detected pilots of every subblock except one.
-
-    Pairs the received samples at the detected positions with the known
-    transmitted pilot values, in subblock order.  Returns None when the
-    remaining pilot values are collinear with their conjugates (the caller
-    falls back to its prior estimate).
-    """
-    y = np.asarray(received_block, dtype=complex).reshape(-1)
-    positions = pattern.to_array() + (
-        np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
-    )
-    keep = np.arange(geometry.subblocks) != exclude_subblock
-    pvals = np.asarray(pilot_values, dtype=complex).reshape(
-        geometry.subblocks, geometry.pilots_per_subblock
-    )
-    return solve_two_path_ls(pvals[keep].reshape(-1), y[positions[keep].reshape(-1)])
-
-
 @dataclass
 class TurboResult:
     """Receiver output for one block plus per-block diagnostics."""
@@ -254,40 +206,6 @@ class TurboFrames:
             ls_fallbacks=int(self.ls_fallbacks[frame]),
             restarted=bool(self.restarted[frame]),
         )
-
-
-@lru_cache(maxsize=None)
-def _position_words(subblock_length: int, pilots_per_subblock: int):
-    """Index word of every pilot position set, built once per subblock shape
-    with :func:`rank_indices` and addressed by the set's lexicographic rank.
-
-    Returns (weights, words, unmapped).  Sorted 0-based offsets o_0 < ... have
-    rank C(n, k) - 1 - sum_j weights[j, o_j]; ``words`` holds each rank's
-    index bits (zeros where ``unmapped``).
-    """
-    n, k = subblock_length, pilots_per_subblock
-    weights = np.array(
-        [[math.comb(n - 1 - o, k - j) for o in range(n)] for j in range(k)],
-        dtype=np.int64,
-    )
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    words = np.zeros((len(subsets), index_bits_per_subblock(n, k)), dtype=np.uint8)
-    unmapped = np.zeros(len(subsets), dtype=bool)
-    for rank, subset in enumerate(subsets):
-        try:
-            words[rank] = rank_indices(subset, n, k)
-        except UnmappedPatternError:
-            unmapped[rank] = True
-    return weights, words, unmapped
-
-
-def _demap_indices(pattern: np.ndarray, subblock_length: int, pilots_per_subblock: int):
-    """Index bits (frames, subblocks * bits) and unmapped flags (frames,
-    subblocks) of sorted 0-based position sets (frames, subblocks, pilots)."""
-    weights, words, unmapped = _position_words(subblock_length, pilots_per_subblock)
-    picked = weights[np.arange(pilots_per_subblock), pattern].sum(axis=-1)
-    rank = words.shape[0] - 1 - picked
-    return words[rank].reshape(pattern.shape[0], -1), unmapped[rank]
 
 
 def turbo_receive(
@@ -412,12 +330,8 @@ def turbo_receive_frames(
             if dnp_mode == "prior":
                 dnp_iter = dnp_prior[r][:, None, None]
             else:
-                power = (
-                    np.abs(h_direct) ** 2 + np.abs(h_image) ** 2
-                ) * transmit_power
-                dnp_iter = np.maximum(
-                    rx.distortion_level * power + rx.noise_variance, DNP_FLOOR
-                )[..., None]
+                power = (np.abs(h_direct) ** 2 + np.abs(h_image) ** 2) * transmit_power
+                dnp_iter = _dnp(rx, power)[..., None]
 
             eta = llr_values(
                 y[r],
@@ -522,9 +436,7 @@ def turbo_receive_frames(
         / (1.0 + rx.distortion_level),
         0.0,
     )
-    dnp_measured = np.maximum(
-        rx.distortion_level * measured_power + rx.noise_variance, DNP_FLOOR
-    )
+    dnp_measured = _dnp(rx, measured_power)
 
     every = np.arange(frames)
     eta = llr_values(
@@ -629,7 +541,7 @@ def turbo_receive_frames(
     _, symbol_bits = detect_symbols(
         y_flat[data].reshape(frames, -1), h_final, data_alphabet
     )
-    index_bits, unmapped = _demap_indices(pattern, sub_len, per_sub)
+    index_bits, unmapped = demap_patterns(pattern, sub_len, per_sub)
 
     return TurboFrames(
         pattern=pattern,

@@ -61,6 +61,10 @@ def test_no_boundary_outside_bracket(gamma):
 def test_boundary_rejects_nonpositive_ratio():
     with pytest.raises(ValueError):
         wrong_region_boundary(0.0)
+    # non-finite ratios used to bisect on NaN residuals and return pi/4
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            wrong_region_boundary(gamma)
 
 
 def test_boundary_table_marks_missing_roots():

@@ -106,9 +106,15 @@ def test_gamma_sweep_subcommand(tmp_path):
         (["ber", "--snr-db", "nan", "--trials", "1"], "ebn0_db"),
         (["fsc", "--trials", "-1"], "trials"),
         (["fsc", "--trials", "0"], "trials"),
+        (["ber", "--config", "{tmp}/bad.json"], "invalid config value: trials"),
+        (["boundary", "--gamma-grid", "nan"], "gamma"),
+        (["boundary", "--gamma-grid", "inf"], "gamma"),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):
+    # a count typed as a float in a config file
+    (tmp_path / "bad.json").write_text(json.dumps({"trials": 2.5}))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     out = tmp_path / "res"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -81,6 +81,17 @@ def test_config_rejects_unknown_keys():
         ("phase_step_std_deg", -1.0),
         ("distortion_level_db", math.nan),
         ("distortion_level_db", -math.inf),
+        # A string grid was read character by character; counts of the wrong
+        # type, a negative seed and string flags failed mid-run or ran the
+        # wrong thing.
+        ("ebn0_db", "16"),
+        ("ebn0_db", b"16"),
+        ("trials", 2.5),
+        ("batch_frames", 2.0),
+        ("max_iterations", True),
+        ("master_seed", -1),
+        ("use_stopping_rule", "no"),
+        ("normalize_block_power", "false"),
     ],
 )
 def test_config_field_validation(field, value):
@@ -126,22 +137,30 @@ def test_config_from_dict_reports_bad_values_as_value_errors():
     SystemConfig(scheme="classical_ls", geometry=BlockGeometry(init_preamble_length=1))
 
 
+def test_config_stores_numpy_integer_counts_as_int():
+    cfg = quiet_config(
+        trials=np.int64(2), geometry=BlockGeometry(blocks_per_frame=np.int64(20))
+    )
+    assert type(cfg.trials) is int and type(cfg.geometry.blocks_per_frame) is int
+    assert cfg.config_hash() == quiet_config().config_hash()
+
+
 def test_noise_variance_accounting():
     cfg = quiet_config()
     received = (1 + 0.2**2) * (8 * 4.0 + 56.0) / 64.0
     assert cfg.noise_variance_for(0.0) == pytest.approx(received / 2.125)
     assert cfg.noise_variance_for(10.0) == pytest.approx(received / 21.25)
     classical = (1 + 0.2**2) * 1.0
-    assert cfg.noise_variance_for(0.0, "classical_ls") == pytest.approx(
+    assert replace(cfg, scheme="classical_ls").noise_variance_for(0.0) == pytest.approx(
         classical / 1.9375
     )
 
 
 def test_spectral_efficiency_per_scheme():
     cfg = quiet_config()
-    assert cfg.spectral_efficiency("proposed_turbo") == 2.125
-    assert cfg.spectral_efficiency("lower_bound_perfect_pattern") == 2.125
-    assert cfg.spectral_efficiency("classical_ls") == 1.9375
+    assert replace(cfg, scheme="proposed_turbo").spectral_efficiency() == 2.125
+    assert replace(cfg, scheme="lower_bound_perfect_pattern").spectral_efficiency() == 2.125
+    assert replace(cfg, scheme="classical_ls").spectral_efficiency() == 1.9375
 
 
 def test_normalized_block_power():

@@ -10,6 +10,7 @@ from impilot.im_codec import (
     UnmappedPatternError,
     assemble_block,
     assemble_blocks,
+    demap_patterns,
     disassemble_block,
     index_bits_per_subblock,
     rank_indices,
@@ -98,6 +99,20 @@ def test_geometry_validation():
         BlockGeometry(preamble_length=64)
     with pytest.raises(ValueError):
         BlockGeometry(blocks_per_frame=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("block_length", "64"),
+        ("subblocks", True),
+        ("preamble_length", 2.0),
+        ("blocks_per_frame", 2.5),
+    ],
+)
+def test_geometry_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"invalid config value: {field}"):
+        BlockGeometry(**{field: value})
 
 
 def test_index_pattern_validation():
@@ -216,3 +231,30 @@ def test_stacked_assembly_rows_match_one_block_assembly(geometry):
         block = assemble_block(index_bits[f], symbol_bits[f], values[f], geometry, data)
         assert np.array_equal(symbols[f], block.symbols)
         assert IndexPattern.from_array(pattern[f]) == block.pattern
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        BlockGeometry(),
+        # six positions carry two bits, so two position sets map to no word
+        BlockGeometry(block_length=48),
+        # two pilots in four positions use the fixed table
+        BlockGeometry(block_length=32, pilots_per_subblock=2),
+    ],
+    ids=["default", "block_length_48", "table_4_2"],
+)
+def test_demap_patterns_inverts_stacked_assembly(geometry):
+    rng = np.random.default_rng(22)
+    data = build_data_alphabet(4)
+    pilots = build_pilot_alphabet(4, 4.0).points
+    rows = 16
+    index_bits = rng.integers(0, 2, (rows, geometry.index_bits_per_block))
+    symbol_bits = rng.integers(0, 2, (rows, geometry.symbol_bits_per_block(4)))
+    values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
+    _, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
+    bits, unmapped = demap_patterns(
+        pattern, geometry.subblock_length, geometry.pilots_per_subblock
+    )
+    assert unmapped.shape == (rows, geometry.subblocks) and not unmapped.any()
+    assert np.array_equal(bits, index_bits)

@@ -123,16 +123,6 @@ def test_detect_symbols_rotated_channel():
     assert np.allclose(symbols, const.points)
 
 
-def test_detect_symbols_noise_power_irrelevant():
-    rng = np.random.default_rng(5)
-    const = build_data_alphabet(4)
-    y = rng.normal(size=64) + 1j * rng.normal(size=64)
-    h = np.array([1.0, 0.1])
-    _, a = detect_symbols(y, h, const, noise_power=0.1)
-    _, b = detect_symbols(y, h, const, noise_power=10.0)
-    assert np.array_equal(a, b)
-
-
 def test_detect_symbols_rejects_zero_channel():
     const = build_data_alphabet(4)
     with pytest.raises(ValueError):

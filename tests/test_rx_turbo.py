@@ -13,13 +13,12 @@ from impilot.im_codec import (
     UnmappedPatternError,
     assemble_block,
     assemble_blocks,
+    demap_patterns,
     rank_indices,
 )
 from impilot.impairments import RxImpairments, TxImpairments
+from impilot.rx_classical import solve_two_path_ls
 from impilot.rx_turbo import (
-    _demap_indices,
-    coarse_detect,
-    extrinsic_ls,
     llr_values,
     prior_dnp,
     turbo_receive,
@@ -43,6 +42,42 @@ def random_block(rng, pilot_const=PILOT, balanced=False):
         if not balanced or (2 <= np.count_nonzero(on_real) <= values.size - 2):
             break
     return assemble_block(index_bits, symbol_bits, values, GEOMETRY, DATA), values
+
+
+def coarse_detect(received_block, prior_estimate, geometry, data_alphabet, pilot_alphabet, dnp):
+    """Oracle for the receiver's first step: each subblock's initial pilot
+    positions, the largest ratios under the prior channel estimate alone
+    (ties to the smaller position)."""
+    y = np.asarray(received_block, dtype=complex).reshape(
+        geometry.subblocks, geometry.subblock_length
+    )
+    eta = llr_values(
+        y,
+        np.asarray(prior_estimate, dtype=complex),
+        data_alphabet,
+        pilot_alphabet,
+        geometry.subblock_length,
+        geometry.pilots_per_subblock,
+        dnp,
+    )
+    order = np.argsort(-eta, axis=-1, kind="stable")[:, : geometry.pilots_per_subblock]
+    return IndexPattern.from_array(np.sort(order, axis=-1))
+
+
+def extrinsic_ls(received_block, pattern, exclude_subblock, pilot_values, geometry):
+    """Oracle for the receiver's extrinsic update: the LS channel fit from the
+    detected pilots of every subblock except one, paired with the known pilot
+    values in subblock order.  None when the remaining pilot values are
+    collinear with their conjugates."""
+    y = np.asarray(received_block, dtype=complex).reshape(-1)
+    positions = pattern.to_array() + (
+        np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
+    )
+    keep = np.arange(geometry.subblocks) != exclude_subblock
+    pvals = np.asarray(pilot_values, dtype=complex).reshape(
+        geometry.subblocks, geometry.pilots_per_subblock
+    )
+    return solve_two_path_ls(pvals[keep].reshape(-1), y[positions[keep].reshape(-1)])
 
 
 def naive_llr(y, channel, dnp, subblock_length=8, pilots_per_subblock=1):
@@ -480,8 +515,9 @@ def test_stacked_rows_match_one_block_calls_for_any_geometry(
 
 @pytest.mark.parametrize("n,k", [(8, 1), (6, 1), (4, 2), (8, 2), (7, 3)])
 def test_position_table_matches_rank_indices(n, k):
+    # the receiver reads its index words through demap_patterns
     subsets = list(itertools.combinations(range(n), k))
-    bits, unmapped = _demap_indices(np.array([subsets]), n, k)
+    bits, unmapped = demap_patterns(np.array([subsets]), n, k)
     bits = bits.reshape(len(subsets), -1)
     for subset, word, flagged in zip(subsets, bits, unmapped[0]):
         try:
