@@ -99,6 +99,11 @@ _FINITE_FIELDS = (
     "distortion_level_db",
 )
 
+# Bounds on the linear quantities a config derives (distortion level, power
+# gain, pilot power, noise variance): products of three of them, and their
+# squares, stay normal doubles, so no sum or fit in a run can overflow.
+_LINEAR_RANGE = (1e-50, 1e50)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -127,7 +132,9 @@ class SystemConfig:
 
     def __post_init__(self):
         try:
-            if isinstance(self.ebn0_db, (str, bytes)):
+            if isinstance(self.ebn0_db, (str, bytes)) or any(
+                isinstance(v, (bool, np.bool_)) for v in self.ebn0_db
+            ):
                 raise TypeError
             ebn0_db = tuple(float(v) for v in self.ebn0_db)
         except (TypeError, ValueError):
@@ -145,6 +152,11 @@ class SystemConfig:
                     f"got {getattr(self, name)!r}"
                 )
         for name in _FINITE_FIELDS:
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(
+                    f"invalid config value: {name} must be a number, "
+                    f"got {getattr(self, name)!r}"
+                )
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.scheme not in SCHEMES:
@@ -178,6 +190,7 @@ class SystemConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self._check_runnable()
+        self._check_linear_range()
 
     def _check_runnable(self) -> None:
         """Reject the scheme/geometry/alphabet combinations that would hang
@@ -220,6 +233,28 @@ class SystemConfig:
                 "geometry.subblocks * geometry.pilots_per_subblock must be >= 2 "
                 f"for {self.scheme}, got {g.pilots_per_block}"
             )
+
+    def _check_linear_range(self) -> None:
+        """Reject fields whose derived linear quantities leave
+        ``_LINEAR_RANGE``, where a run would overflow or divide by zero."""
+        checks = [
+            ("distortion_level_db", "distortion level", lambda: self.distortion_level),
+            ("path_gain and amplitude_imbalance", "power gain", lambda: self.power_gain),
+        ]
+        if not self.classical:
+            checks.append(("gamma", "pilot power", lambda: self.alphabets()[1].average_power))
+        checks += [
+            (f"ebn0_db {v:g}", "noise variance", partial(self.noise_variance_for, v))
+            for v in self.ebn0_db
+        ]
+        low, high = _LINEAR_RANGE
+        for names, quantity, compute in checks:
+            try:
+                inside = low <= compute() <= high
+            except (OverflowError, ZeroDivisionError):
+                inside = False
+            if not inside:
+                raise ValueError(f"{names} put the {quantity} outside [{low:g}, {high:g}]")
 
     def to_dict(self) -> dict:
         d = asdict(self)

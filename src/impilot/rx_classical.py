@@ -13,8 +13,6 @@ __all__ = [
     "detect_symbols",
 ]
 
-_RANK_TOL = 1e-9
-
 
 class DegeneratePilotSetError(ValueError):
     """Pilot set whose [p, conj(p)] matrix is rank deficient."""
@@ -40,45 +38,30 @@ def _normal_terms(pilots, received):
     return a, s2, r1, r2
 
 
-def _solve_terms(a: float, s2: complex, r1: complex, r2: complex):
-    """Closed-form solve of one set of normal-equation terms, in Python
-    scalars; None when the pilot set is degenerate."""
-    if a - abs(s2) <= _RANK_TOL**2 * max(a, 1.0):
-        return None
-    det = a * a - abs(s2) ** 2
-    h_direct = (a * r1 - np.conj(s2) * r2) / det
-    h_image = (-s2 * r1 + a * r2) / det
-    return np.array([h_direct, h_image])
+def two_path_ls(a, s2, r1, r2):
+    """Closed-form solve of the two-path normal equations, broadcast over any
+    leading axes of the :func:`_normal_terms` output.
+
+    Returns ``(estimates, solvable)`` with estimates of shape ``(..., 2)``.
+    A set is solvable when det(P^H P) > 1e-12 a^2; the others (all pilots
+    collinear with their conjugates) cannot resolve both coefficients and get
+    the direct-path-only fit ``(r1 / a, 0)``.
+    """
+    det = a**2 - np.abs(s2) ** 2
+    solvable = det > 1e-12 * a**2
+    safe_det = np.where(solvable, det, 1.0)
+    h_direct = np.where(solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / a)
+    h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
+    return np.stack([h_direct, h_image], axis=-1), solvable
 
 
 def solve_two_path_ls(pilots, received):
-    """Closed-form LS solution, or None when the pilot set is degenerate."""
-    pilots = np.asarray(pilots, dtype=complex).reshape(-1)
-    received = np.asarray(received, dtype=complex).reshape(-1)
-    a, s2, r1, r2 = _normal_terms(pilots, received)
-    return _solve_terms(float(a), complex(s2), complex(r1), complex(r2))
-
-
-def solve_two_path_ls_rows(pilots, received):
-    """:func:`solve_two_path_ls` on each row of ``(rows, n)`` arrays.
-
-    The sums are taken for all rows at once; the 2x2 solve runs per row in
-    the same scalar arithmetic, so each row's estimate carries the same bits
-    as a one-row call.  Returns ``(estimates, solved)`` with estimates of
-    shape ``(rows, 2)``; rows whose pilot set is degenerate hold zeros and
-    have ``solved`` False.
-    """
-    pilots = np.asarray(pilots, dtype=complex)
-    received = np.asarray(received, dtype=complex)
-    terms = [t.tolist() for t in _normal_terms(pilots, received)]
-    estimates = np.zeros((pilots.shape[0], 2), dtype=complex)
-    solved = np.zeros(pilots.shape[0], dtype=bool)
-    for row, row_terms in enumerate(zip(*terms)):
-        solution = _solve_terms(*row_terms)
-        if solution is not None:
-            estimates[row] = solution
-            solved[row] = True
-    return estimates, solved
+    """Closed-form LS solution, or None when the pilot set is degenerate:
+    :func:`two_path_ls` on a stack of one row."""
+    pilots = np.asarray(pilots, dtype=complex).reshape(1, -1)
+    received = np.asarray(received, dtype=complex).reshape(1, -1)
+    estimates, solvable = two_path_ls(*_normal_terms(pilots, received))
+    return estimates[0] if solvable[0] else None
 
 
 def _sample_rows(pilots, received):
@@ -107,8 +90,8 @@ def ls_estimate(pilots, received) -> np.ndarray:
     pilots, received, stacked = _sample_rows(pilots, received)
     if pilots.shape[1] < 2:
         raise ValueError("at least two pilot symbols are required")
-    estimates, solved = solve_two_path_ls_rows(pilots, received)
-    if not solved.all():
+    estimates, solvable = two_path_ls(*_normal_terms(pilots, received))
+    if not solvable.all():
         raise DegeneratePilotSetError(
             "degenerate pilot set: pilot column is collinear with its conjugate"
         )

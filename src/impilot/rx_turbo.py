@@ -34,7 +34,7 @@ import numpy as np
 from .constellation import Constellation
 from .im_codec import BlockGeometry, IndexPattern, demap_patterns
 from .impairments import RxImpairments
-from .rx_classical import detect_symbols, solve_two_path_ls_rows
+from .rx_classical import _normal_terms, detect_symbols, two_path_ls
 
 # rank_indices and solve_two_path_ls are not called here; they stay
 # importable from this module for tools that wrap its calls by name.
@@ -147,19 +147,10 @@ def _top_positions(eta: np.ndarray, pilots_per_subblock: int) -> np.ndarray:
     return order
 
 
-def _two_path_ls_arrays(a, s2, r1, r2):
-    """Closed-form two-path LS on arrays of normal-equation terms.
-
-    Degenerate sets (all pilots collinear with their conjugates) cannot
-    resolve both coefficients; they get a direct-path-only fit instead.
-    Returns (h_direct, h_image, solvable).
-    """
-    det = a**2 - np.abs(s2) ** 2
-    solvable = det > 1e-12 * a**2
-    safe_det = np.where(solvable, det, 1.0)
-    h_direct = np.where(solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / a)
-    h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
-    return h_direct, h_image, solvable
+def _leave_own_out(terms):
+    """Normal-equation terms of each set with its own entry left out: the
+    total over the last axis minus the entry itself."""
+    return tuple(t.sum(axis=-1, keepdims=True) - t for t in terms)
 
 
 @dataclass
@@ -285,13 +276,6 @@ def turbo_receive_frames(
 
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
-    # Pilot-value partial sums; the extrinsic set for subblock g is the block
-    # total minus g's own contribution.
-    a_sub = np.sum(np.abs(pvals) ** 2, axis=-1)
-    s2_sub = np.sum(pvals**2, axis=-1)
-    a_ex = a_sub.sum(axis=-1, keepdims=True) - a_sub
-    s2_ex = s2_sub.sum(axis=-1, keepdims=True) - s2_sub
-
     fallbacks = np.zeros(frames, dtype=np.int64)
 
     def run_pass(rows, pattern):
@@ -311,31 +295,22 @@ def turbo_receive_frames(
             r = rows[live]
             current = pattern[live]
             iterations[live] = step
-            y_det = y_flat.flat[starts[r] + current]
-            p_r = pvals[r]
-            r1_sub = np.sum(np.conj(p_r) * y_det, axis=-1)
-            r2_sub = np.sum(p_r * y_det, axis=-1)
-
-            # Fitting the direct path alone where the extrinsic set is
+            # The extrinsic set for subblock g is every subblock's pilot
+            # pairs but g's own.  Fitting the direct path alone where it is
             # degenerate keeps the update extrinsic and avoids freezing the
             # subblock on a stale prior, which would be a wrong fixed point.
-            h_direct, h_image, solvable = _two_path_ls_arrays(
-                a_ex[r],
-                s2_ex[r],
-                r1_sub.sum(axis=-1, keepdims=True) - r1_sub,
-                r2_sub.sum(axis=-1, keepdims=True) - r2_sub,
-            )
+            terms = _normal_terms(pvals[r], y_flat.flat[starts[r] + current])
+            h_ex, solvable = two_path_ls(*_leave_own_out(terms))
             fallbacks[r] += n_sub - np.count_nonzero(solvable, axis=-1)
 
             if dnp_mode == "prior":
                 dnp_iter = dnp_prior[r][:, None, None]
             else:
-                power = (np.abs(h_direct) ** 2 + np.abs(h_image) ** 2) * transmit_power
-                dnp_iter = _dnp(rx, power)[..., None]
+                dnp_iter = prior_dnp(h_ex, rx, transmit_power)[..., None]
 
             eta = llr_values(
                 y[r],
-                np.stack([h_direct, h_image], axis=-1)[:, :, None, :],
+                h_ex[:, :, None, :],
                 data_alphabet,
                 pilot_alphabet,
                 sub_len,
@@ -381,12 +356,8 @@ def turbo_receive_frames(
     def final_fit(rows, pattern):
         """LS over all detected pilot positions, with a direct-path-only fit
         for degenerate pilot sets.  Returns (estimates, fell_back)."""
-        values, samples = pilot_pairs(rows, pattern)
-        estimates, solved = solve_two_path_ls_rows(values, samples)
-        for i in np.flatnonzero(~solved):
-            direct = np.sum(np.conj(values[i]) * samples[i]) / np.sum(np.abs(values[i]) ** 2)
-            estimates[i] = (direct, 0.0)
-        return estimates, ~solved
+        estimates, solvable = two_path_ls(*_normal_terms(*pilot_pairs(rows, pattern)))
+        return estimates, ~solvable
 
     def leave_one_out_fits(rows, pattern):
         """LS fits with one claimed pilot pair excluded, one per pair:
@@ -397,16 +368,8 @@ def turbo_receive_frames(
         in turn and let the whole-block residual arbitrate.
         """
         values, samples = pilot_pairs(rows, pattern)
-        terms = (
-            np.abs(values) ** 2,
-            values**2,
-            np.conj(values) * samples,
-            values * samples,
-        )
-        h_direct, h_image, _ = _two_path_ls_arrays(
-            *(t.sum(axis=-1, keepdims=True) - t for t in terms)
-        )
-        return np.stack([h_direct, h_image], axis=-1)
+        terms = _normal_terms(values[..., None], samples[..., None])
+        return two_path_ls(*_leave_own_out(terms))[0]
 
     def joint_residual(rows, patterns, estimates):
         """Squared residual of each row's block under each of its candidate

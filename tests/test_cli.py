@@ -109,11 +109,31 @@ def test_gamma_sweep_subcommand(tmp_path):
         (["ber", "--config", "{tmp}/bad.json"], "invalid config value: trials"),
         (["boundary", "--gamma-grid", "nan"], "gamma"),
         (["boundary", "--gamma-grid", "inf"], "gamma"),
+        (["ber", "--snr-db", "4000", "--trials", "1"], "ebn0_db"),
+        (["ber", "--config", "{tmp}/gamma_bool.json"], "invalid config value: gamma"),
+        (["ber", "--config", "{tmp}/ebn0_bool.json"], "ebn0_db"),
+        (["ber", "--config", "{tmp}/ebn0_low.json"], "ebn0_db"),
+        (["ber", "--config", "{tmp}/distortion.json"], "distortion_level_db"),
+        (["ber", "--config", "{tmp}/path_gain.json"], "path_gain"),
+        (["ber", "--config", "{tmp}/imbalance.json"], "path_gain and amplitude_imbalance"),
+        (["ber", "--config", "{tmp}/gamma_high.json"], "gamma"),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):
-    # a count typed as a float in a config file
-    (tmp_path / "bad.json").write_text(json.dumps({"trials": 2.5}))
+    bad_configs = {
+        # a count typed as a float
+        "bad": {"trials": 2.5},
+        # bools in float fields, and finite extremes that failed mid-run
+        "gamma_bool": {"gamma": True},
+        "ebn0_bool": {"ebn0_db": [True]},
+        "ebn0_low": {"ebn0_db": [-4000.0]},
+        "distortion": {"distortion_level_db": 4000.0},
+        "path_gain": {"path_gain": 1e200},
+        "imbalance": {"amplitude_imbalance": 1e200},
+        "gamma_high": {"gamma": 1e300},
+    }
+    for name, config in bad_configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     out = tmp_path / "res"
     assert main([*argv, "--out", str(out)]) == 2

@@ -1,12 +1,17 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impilot.harness import (
     CSV_HEADER,
+    DNP_MODES,
+    SCHEMES,
     SystemConfig,
     count_bit_errors,
     run_experiment,
@@ -92,6 +97,23 @@ def test_config_rejects_unknown_keys():
         ("master_seed", -1),
         ("use_stopping_rule", "no"),
         ("normalize_block_power", "false"),
+        # Bools ran as 0 and 1.
+        ("gamma", True),
+        ("path_gain", True),
+        ("amplitude_imbalance", np.True_),
+        ("phase_imbalance_deg", False),
+        ("phase_step_std_deg", True),
+        ("distortion_level_db", False),
+        ("ebn0_db", (True,)),
+        ("ebn0_db", [4.0, np.False_]),
+        # Finite extremes overflowed or divided by zero mid-run.
+        ("ebn0_db", (4000.0,)),
+        ("ebn0_db", (8.0, -4000.0)),
+        ("distortion_level_db", 4000.0),
+        ("path_gain", 1e200),
+        ("amplitude_imbalance", 1e200),
+        ("gamma", 1e300),
+        ("gamma", 1e-300),
     ],
 )
 def test_config_field_validation(field, value):
@@ -356,3 +378,60 @@ def test_config_json_serializable():
     cfg = quiet_config()
     payload = json.dumps(cfg.to_dict())
     assert SystemConfig.from_dict(json.loads(payload)) == cfg
+
+
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _configs(draw):
+    """Config keyword arguments over all four schemes, small geometries and
+    values up to the bounds SystemConfig enforces; many are invalid."""
+    geometry = dict(
+        block_length=draw(st.sampled_from([8, 16, 24, 32])),
+        subblocks=draw(st.sampled_from([1, 2, 4, 8])),
+        pilots_per_subblock=draw(st.integers(1, 3)),
+        preamble_length=draw(st.integers(1, 4)),
+        init_preamble_length=draw(st.integers(1, 4)),
+        blocks_per_frame=draw(st.integers(1, 3)),
+    )
+    return dict(
+        geometry=geometry,
+        scheme=draw(st.sampled_from(SCHEMES)),
+        data_order=draw(st.sampled_from([2, 4, 8, 16])),
+        pilot_order=draw(st.sampled_from([2, 4, 8, 16])),
+        gamma=draw(_log_uniform(-55.0, 55.0)),
+        path_gain=draw(_log_uniform(-28.0, 28.0)),
+        amplitude_imbalance=draw(st.floats(-2.0, 2.0) | _log_uniform(-30.0, 30.0)),
+        phase_imbalance_deg=draw(st.floats(-180.0, 180.0)),
+        phase_step_std_deg=draw(st.floats(0.0, 90.0)),
+        distortion_level_db=draw(st.floats(-550.0, 550.0)),
+        ebn0_db=draw(st.lists(st.floats(-550.0, 550.0), min_size=1, max_size=2)),
+        max_iterations=draw(st.integers(1, 6)),
+        dnp_mode=draw(st.sampled_from(DNP_MODES)),
+        normalize_block_power=draw(st.booleans()),
+        trials=1,
+        min_bit_errors=0,
+        master_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_accepted_configs_run_to_completion(kwargs):
+    try:
+        config = SystemConfig.from_dict(kwargs)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(config)
+    names = CSV_HEADER.split(",")
+    for row in result.csv_rows():
+        for name, cell in zip(names, row.split(",")):
+            if name in ("scheme", "config_hash"):
+                continue
+            if name == "ber_index" and config.classical:
+                continue
+            assert math.isfinite(float(cell)), (name, cell)

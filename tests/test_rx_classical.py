@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impilot.constellation import build_data_alphabet, map_bits_array
 from impilot.rx_classical import (
     DegeneratePilotSetError,
+    _normal_terms,
     detect_symbols,
     ls_estimate,
     mmse_estimate,
     pilot_matrix,
     solve_two_path_ls,
-    solve_two_path_ls_rows,
+    two_path_ls,
 )
 
 PREAMBLE = np.array([1.0, 1.0j])
@@ -152,14 +155,83 @@ def test_row_solver_matches_one_row_solver_bit_for_bit():
     pilots = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
     pilots[7] = 2.0  # collinear with its conjugate
     received = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
-    estimates, solved = solve_two_path_ls_rows(pilots, received)
+    a, s2, r1, r2 = _normal_terms(pilots, received)
+    estimates, solvable = two_path_ls(a, s2, r1, r2)
+    assert estimates.shape == (50, 2)
     for f in range(50):
         alone = solve_two_path_ls(pilots[f], received[f])
-        if alone is None:
-            assert not solved[f] and not estimates[f].any()
+        if f == 7:
+            assert alone is None and not solvable[f]
         else:
-            assert solved[f] and estimates[f].tobytes() == alone.tobytes()
-    assert not solved[7]
+            assert solvable[f] and estimates[f].tobytes() == alone.tobytes()
+    # the degenerate row holds the direct-path-only fit
+    assert estimates[7].tobytes() == np.array([r1[7] / a[7], 0.0]).tobytes()
+
+
+_MAGNITUDES = st.floats(0.1, 4.0)
+_SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _pilot_set(draw, n):
+    """n pilot values: free complex values, or a set on one line through the
+    origin (all real, all imaginary, or one axis of a PSK alphabet), which is
+    collinear with its conjugate."""
+    kind = draw(st.sampled_from(["complex", "real", "imaginary", "psk_axis"]))
+    magnitudes = np.array(draw(st.lists(_MAGNITUDES, min_size=n, max_size=n)))
+    if kind == "complex":
+        phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
+        return magnitudes * np.exp(1j * np.array(phases)), False
+    signs = np.array(draw(st.lists(_SIGNS, min_size=n, max_size=n)))
+    if kind == "real":
+        axis = 1.0
+    elif kind == "imaginary":
+        axis = 1j
+    else:
+        order = draw(st.sampled_from([4, 8, 16]))
+        axis = np.exp(2j * np.pi * draw(st.integers(0, order - 1)) / order)
+    return signs * magnitudes * axis, True
+
+
+@st.composite
+def _pilot_stacks(draw):
+    n = draw(st.integers(2, 16))
+    sets = draw(st.lists(_pilot_set(n), min_size=1, max_size=5))
+    pilots = np.array([values for values, _ in sets])
+    collinear = np.array([flag for _, flag in sets])
+    parts = st.floats(-4.0, 4.0)
+    received = np.array(
+        draw(st.lists(st.tuples(parts, parts), min_size=pilots.size, max_size=pilots.size))
+    )
+    received = (received[:, 0] + 1j * received[:, 1]).reshape(pilots.shape)
+    return pilots, received, collinear
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pilot_stacks())
+def test_two_path_ls_property(stack):
+    pilots, received, collinear = stack
+    a, s2, r1, r2 = _normal_terms(pilots, received)
+    estimates, solvable = two_path_ls(a, s2, r1, r2)
+    assert not solvable[collinear].any()
+    for f in range(pilots.shape[0]):
+        alone = solve_two_path_ls(pilots[f], received[f])
+        if not solvable[f]:
+            assert alone is None
+            assert estimates[f].tobytes() == np.array([r1[f] / a[f], 0.0]).tobytes()
+            continue
+        assert estimates[f].tobytes() == alone.tobytes()
+        oracle = np.linalg.lstsq(pilot_matrix(pilots[f]), received[f], rcond=None)[0]
+        # 1e-9 relative, scaled by the condition number of P^H P, which
+        # bounds how far any two exact-in-theory solves may drift apart.
+        condition = (a[f] + abs(s2[f])) / (a[f] - abs(s2[f]))
+        error = np.linalg.norm(estimates[f] - oracle)
+        assert error <= 1e-9 * condition * np.linalg.norm(oracle)
+    if solvable.all():
+        assert ls_estimate(pilots, received).tobytes() == estimates.tobytes()
+    else:
+        with pytest.raises(DegeneratePilotSetError):
+            ls_estimate(pilots, received)
 
 
 def test_detect_symbols_stacked_rows():
