@@ -14,6 +14,7 @@ single output byte.
 import hashlib
 import json
 import math
+import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -152,13 +153,13 @@ class SystemConfig:
                     f"got {getattr(self, name)!r}"
                 )
         for name in _FINITE_FIELDS:
-            if isinstance(getattr(self, name), (bool, np.bool_)):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
                 raise ValueError(
-                    f"invalid config value: {name} must be a number, "
-                    f"got {getattr(self, name)!r}"
+                    f"invalid config value: {name} must be a number, got {value!r}"
                 )
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.fading_mode not in FADING_MODES:

@@ -31,10 +31,10 @@ def _normal_terms(pilots, received):
     P^H P = [[a, conj(s2)], [s2, a]] with a = sum |p|^2 and s2 = sum p^2;
     its smallest singular value is sqrt(a - |s2|).
     """
-    a = np.sum(np.abs(pilots) ** 2, axis=-1)
-    s2 = np.sum(pilots**2, axis=-1)
-    r1 = np.sum(np.conj(pilots) * received, axis=-1)
-    r2 = np.sum(pilots * received, axis=-1)
+    a = (np.abs(pilots) ** 2).sum(axis=-1)
+    s2 = (pilots**2).sum(axis=-1)
+    r1 = (np.conj(pilots) * received).sum(axis=-1)
+    r2 = (pilots * received).sum(axis=-1)
     return a, s2, r1, r2
 
 

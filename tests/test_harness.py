@@ -104,6 +104,7 @@ def test_config_rejects_unknown_keys():
         ("phase_imbalance_deg", False),
         ("phase_step_std_deg", True),
         ("distortion_level_db", False),
+        ("gamma", "4"),
         ("ebn0_db", (True,)),
         ("ebn0_db", [4.0, np.False_]),
         # Finite extremes overflowed or divided by zero mid-run.
