@@ -45,12 +45,14 @@ def two_path_ls(a, s2, r1, r2):
     Returns ``(estimates, solvable)`` with estimates of shape ``(..., 2)``.
     A set is solvable when det(P^H P) > 1e-12 a^2; the others (all pilots
     collinear with their conjugates) cannot resolve both coefficients and get
-    the direct-path-only fit ``(r1 / a, 0)``.
+    the direct-path-only fit ``(r1 / a, 0)``, zero for all-zero pilots.
     """
     det = a**2 - np.abs(s2) ** 2
     solvable = det > 1e-12 * a**2
     safe_det = np.where(solvable, det, 1.0)
-    h_direct = np.where(solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / a)
+    h_direct = np.where(
+        solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / np.where(a > 0, a, 1.0)
+    )
     h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
     return np.stack([h_direct, h_image], axis=-1), solvable
 

@@ -39,6 +39,9 @@ def test_ls_degenerate_set_rejected():
     # all phases equal modulo pi is also collinear
     with pytest.raises(DegeneratePilotSetError):
         ls_estimate([2.0, -2.0, 2.0], [0.1, 0.2, 0.3])
+    # and so are all-zero pilots, without a division warning
+    with pytest.raises(DegeneratePilotSetError):
+        ls_estimate([0.0, 0.0], [0.1, 0.2])
 
 
 def test_ls_requires_two_pilots():
