@@ -133,11 +133,12 @@ class SystemConfig:
 
     def __post_init__(self):
         try:
-            if isinstance(self.ebn0_db, (str, bytes)) or any(
-                isinstance(v, (bool, np.bool_)) for v in self.ebn0_db
-            ):
+            if isinstance(self.ebn0_db, (str, bytes)):
                 raise TypeError
-            ebn0_db = tuple(float(v) for v in self.ebn0_db)
+            ebn0_db = tuple(self.ebn0_db)
+            if any(isinstance(v, (bool, np.bool_)) for v in ebn0_db):
+                raise TypeError
+            ebn0_db = tuple(float(v) for v in ebn0_db)
         except (TypeError, ValueError):
             raise ValueError(
                 f"ebn0_db must be a list of numbers, got {self.ebn0_db!r}"
@@ -154,7 +155,7 @@ class SystemConfig:
                 )
         for name in _FINITE_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(
                     f"invalid config value: {name} must be a number, got {value!r}"
                 )
