@@ -24,18 +24,28 @@ def pilot_matrix(pilots) -> np.ndarray:
     return np.column_stack([pilots, np.conj(pilots)])
 
 
-def _normal_terms(pilots, received):
-    """Entries of P^H P and P^H y for P = [p, conj(p)], reduced over the last
-    axis, so stacked rows give one set of terms each.
-
+def _pilot_terms(pilots):
+    """Entries of P^H P for P = [p, conj(p)], reduced over the last axis:
     P^H P = [[a, conj(s2)], [s2, a]] with a = sum |p|^2 and s2 = sum p^2;
-    its smallest singular value is sqrt(a - |s2|).
-    """
+    its smallest singular value is sqrt(a - |s2|)."""
     a = (np.abs(pilots) ** 2).sum(axis=-1)
     s2 = (pilots**2).sum(axis=-1)
+    return a, s2
+
+
+def _received_terms(pilots, received):
+    """Entries r1, r2 of P^H y for P = [p, conj(p)], reduced over the last
+    axis."""
     r1 = (np.conj(pilots) * received).sum(axis=-1)
     r2 = (pilots * received).sum(axis=-1)
-    return a, s2, r1, r2
+    return r1, r2
+
+
+def _normal_terms(pilots, received):
+    """Entries (a, s2, r1, r2) of P^H P and P^H y, reduced over the last
+    axis, so stacked rows give one set of terms each: :func:`_pilot_terms`
+    followed by :func:`_received_terms`."""
+    return _pilot_terms(pilots) + _received_terms(pilots, received)
 
 
 def two_path_ls(a, s2, r1, r2):

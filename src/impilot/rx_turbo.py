@@ -34,7 +34,13 @@ import numpy as np
 from .constellation import Constellation
 from .im_codec import BlockGeometry, IndexPattern, demap_patterns
 from .impairments import RxImpairments
-from .rx_classical import _normal_terms, detect_symbols, two_path_ls
+from .rx_classical import (
+    _normal_terms,
+    _pilot_terms,
+    _received_terms,
+    detect_symbols,
+    two_path_ls,
+)
 
 # rank_indices and solve_two_path_ls are not called here; they stay
 # importable from this module for tools that wrap its calls by name.
@@ -277,6 +283,9 @@ def turbo_receive_frames(
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
     fallbacks = np.zeros(frames, dtype=np.int64)
+    # The extrinsic fits' pilot terms depend on the pilot values alone, so
+    # they and their leave-own-out totals are formed once per block.
+    a_ex, s2_ex = _leave_own_out(_pilot_terms(pvals))
 
     def run_pass(rows, pattern):
         """Update the patterns of ``rows`` until each reaches a fixed point,
@@ -299,8 +308,10 @@ def turbo_receive_frames(
             # pairs but g's own.  Fitting the direct path alone where it is
             # degenerate keeps the update extrinsic and avoids freezing the
             # subblock on a stale prior, which would be a wrong fixed point.
-            terms = _normal_terms(pvals[r], y_flat.flat[starts[r] + current])
-            h_ex, solvable = two_path_ls(*_leave_own_out(terms))
+            received_ex = _leave_own_out(
+                _received_terms(pvals[r], y_flat.flat[starts[r] + current])
+            )
+            h_ex, solvable = two_path_ls(a_ex[r], s2_ex[r], *received_ex)
             fallbacks[r] += n_sub - np.count_nonzero(solvable, axis=-1)
 
             if dnp_mode == "prior":
