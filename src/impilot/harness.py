@@ -22,15 +22,16 @@ from functools import partial, reduce
 
 import numpy as np
 
-# propagate_block, assemble_block and turbo_receive, the one-block forms, are
-# not called here; they stay importable from this module for tools that wrap
-# its calls by name.
+# evolve, propagate_block, assemble_block and turbo_receive, the one-block
+# forms, are not called here; they stay importable from this module for
+# tools that wrap its calls by name.
 from .channel import (  # noqa: F401
     FADING_MODES,
+    channel_trajectory,
     evolve,
-    initial_state,
     propagate_block,
     propagate_blocks,
+    unit_noise,
 )
 from .constellation import (
     Constellation,
@@ -47,7 +48,7 @@ from .im_codec import (  # noqa: F401
     se_conventional,
     se_proposed,
 )
-from .impairments import RxImpairments, TxImpairments
+from .impairments import TWO_PI, RxImpairments, TxImpairments
 from .rx_classical import detect_symbols, ls_estimate, mmse_estimate
 from .rx_turbo import DNP_MODES, turbo_receive, turbo_receive_frames  # noqa: F401
 
@@ -383,28 +384,43 @@ def count_bit_errors(sent, received) -> int:
     return int(np.count_nonzero(sent != received))
 
 
-def _draw_pilot_rows(rngs, points: np.ndarray, count: int) -> np.ndarray:
-    """Equiprobable pilot draws for one block of each frame, one row per
-    frame, redrawn (rarely) from the frame's own stream until the values
-    span both conjugation axes so the block's [p, conj(p)] matrix keeps
-    rank two."""
-    values = np.empty((len(rngs), count), dtype=points.dtype)
-    redraw = list(range(len(rngs)))
-    while redraw:
-        values[redraw] = points[
-            np.array([rngs[f].integers(0, points.size, count) for f in redraw])
-        ]
-        a = np.sum(np.abs(values[redraw]) ** 2, axis=1).tolist()
-        s2 = np.sum(values[redraw] ** 2, axis=1)
-        redraw = [
-            f for f, a_f, s2_f in zip(redraw, a, s2) if not a_f - abs(s2_f) > 1e-9 * a_f
-        ]
+def _spans_both_axes(values) -> np.ndarray:
+    """Whether each pilot set (last axis) keeps its [p, conj(p)] matrix rank
+    two, i.e. its values do not all lie on one line through the origin."""
+    a = (np.abs(values) ** 2).sum(axis=-1)
+    s2 = (values**2).sum(axis=-1)
+    return a - np.abs(s2) > 1e-9 * a
+
+
+def _draw_pilots(rng, points: np.ndarray, blocks: int, count: int) -> np.ndarray:
+    """Equiprobable pilot values for every block of one frame, (blocks,
+    count), in one draw.  The (rare) sets that do not span both conjugation
+    axes are then redrawn, in block order, from the same stream until they
+    do."""
+    values = points[rng.integers(0, points.size, (blocks, count))]
+    for b in np.flatnonzero(~_spans_both_axes(values)):
+        row = values[b]
+        while not _spans_both_axes(row):
+            row = points[rng.integers(0, points.size, count)]
+        values[b] = row
     return values
 
 
-def _draw_pilot_values(rng, points: np.ndarray, count: int) -> np.ndarray:
-    """:func:`_draw_pilot_rows` for a single frame."""
-    return _draw_pilot_rows([rng], points, count)[0]
+def _draw_frame(rng, config: SystemConfig, n_bits: int, pilot_points=None):
+    """A frame's draws ahead of its noise, steps 1-4 of the order that
+    :func:`_simulate_frames` gives.  Returns (phases, oscillator steps,
+    bits, pilot values); all but the phases have one row per block, and the
+    pilot values are drawn only given the pilot alphabet's points."""
+    g = config.geometry
+    blocks = g.blocks_per_frame
+    fast = config.fading_mode == "fast_block_phase"
+    phases = rng.uniform(0.0, TWO_PI, 2 + blocks if fast else 2)
+    step_std = math.radians(config.phase_step_std_deg)
+    steps = rng.normal(0.0, step_std, blocks) if step_std else np.zeros(blocks)
+    bits = rng.integers(0, 2, (blocks, n_bits), dtype=np.uint8)
+    if pilot_points is None:
+        return phases, steps, bits, None
+    return phases, steps, bits, _draw_pilots(rng, pilot_points, blocks, g.pilots_per_block)
 
 
 def _unit_preamble(length: int) -> np.ndarray:
@@ -427,12 +443,25 @@ def _simulate_frames(
 ) -> list:
     """Tallies of the frames ``trial_indices`` of one SNR point, in order.
 
-    The frames run in lockstep: block k of every frame, then block k+1.
     Each frame draws from its own stream, seeded by the master seed and the
-    frame's grid coordinates, and consumes it in the same order whatever
-    frames it runs with, so a frame's tally does not depend on its company.
-    Only the block's draws and assembly and its estimation depend on the
-    scheme; propagation, detection and scoring see the whole stack at once.
+    frame's grid coordinates, in a fixed order: at the start of the frame,
+
+    1. ``uniform(0, 2 pi)``: the initial physical and oscillator phases,
+       then (fast_block_phase only) each block's physical phase;
+    2. ``normal(0, step std, blocks)``: the oscillator steps, skipped when
+       the step std is zero;
+    3. one ``integers`` call for every block's index and symbol bits;
+    4. flexible schemes: one ``integers`` call for every block's pilot
+       values, then the redraws of degenerate pilot sets in block order
+
+    (:func:`_draw_frame`), and then ``standard_normal`` pairs for the
+    initial preamble (flexible schemes) and for each block in turn, which
+    become unit-variance complex noise scaled to the block's received power.
+    So a frame's tally does not depend on the frames it runs with.
+
+    The frames run in lockstep: block k of every frame, then block k+1.
+    Only the block's assembly and its estimation depend on the scheme;
+    propagation, detection and scoring see the whole stack at once.
     """
     rngs = [
         np.random.default_rng(
@@ -468,6 +497,7 @@ def _simulate_frames(
 
     frames = len(rngs)
     rows = np.arange(frames)
+    blocks = g.blocks_per_frame
     bits_per_sub = g.index_bits_per_subblock
     n_symbol_bits = n_data * data_const.bits_per_symbol
 
@@ -479,37 +509,45 @@ def _simulate_frames(
     mse_den = np.zeros(frames)
     iteration_counts = np.zeros((frames, config.max_iterations), dtype=np.int64)
 
-    states = [initial_state(tx, rng, config.path_gain) for rng in rngs]
-    h_true = np.array([state.equivalent(tx) for state in states])
+    pilot_points = None if classical else pilot_const.points
+    draws = [
+        _draw_frame(rng, config, n_index_bits + n_symbol_bits, pilot_points) for rng in rngs
+    ]
+    phases, steps, bits, all_pilots = zip(*draws)
+    channels = channel_trajectory(
+        np.stack(phases), np.stack(steps), config.fading_mode, tx, config.path_gain
+    )
+    bits = np.stack(bits)
+    if not classical:
+        all_pilots = np.stack(all_pilots)
+
     if not classical:
         # The flexible schemes open each frame with a known preamble.
         init = _unit_preamble(g.init_preamble_length)
-        h_prior = ls_estimate(
-            init, propagate_blocks(np.tile(init, (frames, 1)), h_true, rx, rngs)
-        )
-
-    index_bits = np.empty((frames, n_index_bits), dtype=np.uint8)
-    symbol_bits = np.empty((frames, n_symbol_bits), dtype=np.uint8)
-
-    for _ in range(g.blocks_per_frame):
-        # Each frame draws its channel step, index bits, symbol bits, pilot
-        # values and, inside propagate_blocks, its noise, in that order; the
-        # classical schemes draw no index bits and no pilots.
+        normals = np.empty((frames, g.init_preamble_length, 2))
         for f, rng in enumerate(rngs):
-            states[f] = evolve(states[f], config.fading_mode, tx, rng)
-            h_true[f] = states[f].equivalent(tx)
-            if not classical:
-                index_bits[f] = rng.integers(0, 2, n_index_bits)
-            symbol_bits[f] = rng.integers(0, 2, n_symbol_bits)
+            rng.standard_normal(out=normals[f])
+        y_init = propagate_blocks(
+            np.tile(init, (frames, 1)), channels[:, 0], rx, unit_noise(normals)
+        )
+        h_prior = ls_estimate(init, y_init)
+
+    normals = np.empty((frames, g.block_length, 2))
+    for k in range(blocks):
+        h_true = channels[:, k + 1]
+        index_bits = bits[:, k, :n_index_bits]
+        symbol_bits = bits[:, k, n_index_bits:]
         if classical:
             data = map_bits_array(symbol_bits, data_const).reshape(frames, n_data)
             symbols = np.concatenate([np.tile(preamble, (frames, 1)), data], axis=1)
         else:
-            pilots = _draw_pilot_rows(rngs, pilot_const.points, g.pilots_per_block)
+            pilots = all_pilots[:, k]
             symbols, true_pattern = assemble_blocks(
                 index_bits, symbol_bits, pilots, g, data_const
             )
-        y = propagate_blocks(symbols, h_true, rx, rngs)
+        for f, rng in enumerate(rngs):
+            rng.standard_normal(out=normals[f])
+        y = propagate_blocks(symbols, h_true, rx, unit_noise(normals))
 
         if turbo:
             result = turbo_receive_frames(
@@ -556,7 +594,6 @@ def _simulate_frames(
         mse_num += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
         mse_den += np.sum(np.abs(h_true) ** 2, axis=1)
 
-    blocks = g.blocks_per_frame
     return [
         FrameTally(
             frames=1,

@@ -6,12 +6,16 @@ from scipy import stats
 
 from impilot.channel import (
     ChannelState,
+    channel_trajectory,
     equivalent_vector,
     evolve,
     initial_state,
     propagate_block,
     propagate_blocks,
+    unit_noise,
 )
+from impilot.harness import SystemConfig, _draw_frame
+from impilot.im_codec import BlockGeometry
 from impilot.impairments import RxImpairments, TxImpairments, apply_tx_impairments
 
 IDEAL = TxImpairments()
@@ -128,12 +132,106 @@ def test_stacked_propagation_rows_match_one_block_calls():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 64)) + 1j * rng.normal(size=(4, 64))
     states = [ChannelState(gain=0.9, oscillator_phase=0.4 * f) for f in range(4)]
+    normals = np.stack(
+        [np.random.default_rng(100 + f).standard_normal((64, 2)) for f in range(4)]
+    )
     stacked = propagate_blocks(
-        x,
-        np.array([s.equivalent(tx) for s in states]),
-        rx,
-        [np.random.default_rng(100 + f) for f in range(4)],
+        x, np.array([s.equivalent(tx) for s in states]), rx, unit_noise(normals)
     )
     for f, state in enumerate(states):
         alone = propagate_block(x[f], state, tx, rx, np.random.default_rng(100 + f))
         assert stacked[f].tobytes() == alone.tobytes()
+
+
+def test_unit_noise_has_unit_variance():
+    noise = unit_noise(np.random.default_rng(8).standard_normal((200_000, 2)))
+    assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.01)
+    assert abs(np.mean(noise**2)) < 0.01
+
+
+# The imbalance of the default SystemConfig.
+TX = TxImpairments(0.2, math.radians(2.0))
+
+
+def _trajectory_draws(rng, frames, blocks, mode, step_std_deg):
+    """Phase draws and oscillator steps of ``frames`` frames, as the harness
+    draws them for a config with this fading mode and phase step."""
+    config = SystemConfig(
+        geometry=BlockGeometry(blocks_per_frame=blocks),
+        fading_mode=mode,
+        phase_step_std_deg=step_std_deg,
+    )
+    draws = [_draw_frame(rng, config, 0) for _ in range(frames)]
+    return np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+
+
+def _oscillator(h, phases, mode):
+    """Oscillator phase recovered from a trajectory and its physical phases."""
+    physical = phases[:, :1] if mode == "quasi_static" else np.concatenate(
+        [phases[:, :1], phases[:, 2:]], axis=1
+    )
+    return np.angle(h[..., 0] / TX.direct_coeff) - physical
+
+
+def _wrap(angle):
+    return np.angle(np.exp(1j * angle))
+
+
+def test_trajectory_shape_and_initial_state():
+    rng = np.random.default_rng(9)
+    phases, steps = _trajectory_draws(rng, 3, 5, "fast_block_phase", 5.0)
+    h = channel_trajectory(phases, steps, "fast_block_phase", TX, 0.8)
+    assert h.shape == (3, 6, 2)
+    for f in range(3):
+        state = ChannelState(0.8 * np.exp(1j * phases[f, 0]), phases[f, 1])
+        assert np.allclose(h[f, 0], state.equivalent(TX), rtol=0, atol=1e-14)
+
+
+def test_trajectory_quasi_static_keeps_physical_phase():
+    rng = np.random.default_rng(10)
+    phases, steps = _trajectory_draws(rng, 4, 50, "quasi_static", 5.0)
+    h = channel_trajectory(phases, steps, "quasi_static", TX)
+    # Every change of the vector's phase is the oscillator's walk.
+    drift = np.angle(h[:, 1:, 0] * np.conj(h[:, :1, 0]))
+    assert np.allclose(_wrap(drift - np.cumsum(steps, axis=1)), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["fast_block_phase", "quasi_static"])
+def test_trajectory_oscillator_frozen_without_phase_noise(mode):
+    rng = np.random.default_rng(11)
+    phases, steps = _trajectory_draws(rng, 4, 30, mode, 0.0)
+    assert not steps.any()
+    h = channel_trajectory(phases, steps, mode, TX)
+    theta = _oscillator(h, phases, mode)
+    assert np.allclose(_wrap(theta - phases[:, 1:2]), 0.0, atol=1e-9)
+    if mode == "quasi_static":
+        assert (h == h[:, :1]).all()
+
+
+@pytest.mark.parametrize("mode", ["fast_block_phase", "quasi_static"])
+def test_trajectory_amplitude_is_path_gain_times_coefficients(mode):
+    rng = np.random.default_rng(12)
+    phases, steps = _trajectory_draws(rng, 5, 40, mode, 5.0)
+    h = channel_trajectory(phases, steps, mode, TX, path_gain=0.7)
+    expected = 0.7 * np.abs([TX.direct_coeff, TX.image_coeff])
+    assert np.allclose(np.abs(h), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", ["fast_block_phase", "quasi_static"])
+def test_trajectory_oscillator_steps_have_configured_std(mode):
+    std = math.radians(5.0)
+    rng = np.random.default_rng(13)
+    phases, steps = _trajectory_draws(rng, 100, 200, mode, 5.0)
+    h = channel_trajectory(phases, steps, mode, TX)
+    increments = _wrap(np.diff(_oscillator(h, phases, mode), axis=1)).reshape(-1)
+    n = increments.size
+    # Zero-mean Gaussian steps: n * s^2 / std^2 is chi-square with n degrees
+    # of freedom; these bounds hold with probability 1 - 2e-6.
+    ratio = np.mean(increments**2) / std**2
+    assert stats.chi2.ppf(1e-6, n) / n < ratio < stats.chi2.ppf(1 - 1e-6, n) / n
+    assert abs(np.mean(increments)) < 5 * std / math.sqrt(n)
+
+
+def test_trajectory_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        channel_trajectory(np.zeros((1, 2)), np.zeros((1, 3)), "rayleigh", TX)

@@ -1,14 +1,16 @@
 """Golden CSVs: the harness must keep producing these exact bytes.
 
-The files under ``tests/data/`` were written by the frame-at-a-time harness
-that preceded lockstep frame batching, so they pin the whole chain (random
-draw order, receiver arithmetic, scoring, formatting) across that refactor.
+The files under ``tests/data/`` were written by the lockstep harness that
+draws each frame's randomness in bulk at frame start (the order is given in
+``harness._simulate_frames``), so they pin the whole chain (random draw
+order, receiver arithmetic, scoring, formatting) across later refactors.
 Each case runs 3 frames of 10 blocks in batches of 2, so the last batch is
 ragged.  The ``proposed_turbo_rescue`` case runs the iterative receiver at
 0 dB with 8 iterations and per-iteration DNP refresh, where the consistency
-screen fires and its rescue candidates get adopted.  The last two cases
-cover index demapping: undecodable position sets, and the fixed table for
-two pilots in four positions.
+screen fires and its rescue candidates get adopted
+(``test_rescue_case_adopts_rescue_candidates`` checks that they do).  The
+last two cases cover index demapping: undecodable position sets, and the
+fixed table for two pilots in four positions.
 
 ``golden_sums.json`` holds the exact sums behind every row, so a change in
 the last bit of any estimate shows even where the printed digits hide it.
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from impilot import harness
 from impilot.harness import SystemConfig, run_experiment, write_csv
 from impilot.im_codec import BlockGeometry
 
@@ -113,3 +116,17 @@ def test_sums_match_golden_bits(name, results):
     expected = json.loads(SUMS.read_text(encoding="utf-8"))[name]
     got = json.loads(json.dumps(point_sums(results[name])))
     assert got == expected
+
+
+def test_rescue_case_adopts_rescue_candidates(monkeypatch):
+    restarted = []
+    receive = harness.turbo_receive_frames
+
+    def recording(*args, **kwargs):
+        result = receive(*args, **kwargs)
+        restarted.append(result.restarted)
+        return result
+
+    monkeypatch.setattr(harness, "turbo_receive_frames", recording)
+    run_experiment(CASES["proposed_turbo_rescue"])
+    assert restarted and any(r.any() for r in restarted)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from impilot.harness import (
@@ -19,7 +19,7 @@ from impilot.harness import (
     run_iteration_histogram,
     write_csv,
     _chunks,
-    _draw_pilot_values,
+    _draw_pilots,
     _simulate_frames,
     _unit_preamble,
 )
@@ -204,13 +204,31 @@ def test_count_bit_errors_exact():
         count_bit_errors(sent, received[:-1])
 
 
+def _rank_two(values):
+    """Whether each pilot set on the last axis gives [p, conj(p)] rank two."""
+    a = np.sum(np.abs(values) ** 2, axis=-1)
+    return a - np.abs(np.sum(values**2, axis=-1)) > 1e-9 * a
+
+
 def test_pilot_draws_are_never_conjugate_degenerate():
-    rng = np.random.default_rng(1)
     points = build_pilot_alphabet(4, 4.0).points
-    for _ in range(2000):
-        values = _draw_pilot_values(rng, points, 8)
-        a = float(np.sum(np.abs(values) ** 2))
-        assert a - abs(np.sum(values**2)) > 1e-9 * a
+    values = _draw_pilots(np.random.default_rng(1), points, 2000, 8)
+    assert values.shape == (2000, 8)
+    assert np.isin(values, points).all()
+    assert _rank_two(values).all()
+
+
+def test_degenerate_pilot_sets_are_redrawn_from_the_same_stream():
+    # Two pilots from the four axis points lie on one line half the time.
+    points = build_pilot_alphabet(4, 4.0).points
+    first = points[np.random.default_rng(2).integers(0, points.size, (50, 2))]
+    kept = _rank_two(first)
+    assert 5 < np.count_nonzero(~kept) < 45
+    values = _draw_pilots(np.random.default_rng(2), points, 50, 2)
+    assert _rank_two(values).all()
+    assert np.array_equal(values[kept], first[kept])
+    again = _draw_pilots(np.random.default_rng(2), points, 50, 2)
+    assert again.tobytes() == values.tobytes()
 
 
 def test_unit_preamble_rank():
@@ -251,6 +269,12 @@ def test_worker_count_does_not_change_results(tmp_path):
         dict(ebn0_db=(4.0,), scheme="lower_bound_perfect_pattern"),
         dict(ebn0_db=(4.0,), scheme="classical_mmse"),
         dict(ebn0_db=(4.0,), scheme="classical_ls"),
+        # two pilots per block: degenerate pilot sets, and so redraws, are common
+        dict(
+            ebn0_db=(4.0,),
+            scheme="lower_bound_perfect_pattern",
+            geometry=BlockGeometry(block_length=8, subblocks=2, blocks_per_frame=20),
+        ),
     ],
 )
 def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
@@ -259,6 +283,50 @@ def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
     together = _simulate_frames(cfg, snr, 1, range(5))
     for trial in range(5):
         assert _simulate_frames(cfg, snr, 1, [trial]) == [together[trial]]
+
+
+@st.composite
+def _split_runs(draw):
+    """A small accepted config, a frame count and a contiguous split of it."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    geometry = BlockGeometry(
+        block_length=16,
+        subblocks=draw(st.sampled_from([2, 4])),
+        pilots_per_subblock=draw(st.integers(1, 2)),
+        blocks_per_frame=draw(st.integers(1, 3)),
+    )
+    try:
+        config = SystemConfig(
+            geometry=geometry,
+            scheme=scheme,
+            fading_mode=draw(st.sampled_from(["fast_block_phase", "quasi_static"])),
+            phase_step_std_deg=draw(st.sampled_from([0.0, 5.0])),
+            dnp_mode=draw(st.sampled_from(DNP_MODES)),
+            max_iterations=draw(st.integers(1, 4)),
+            ebn0_db=(draw(st.floats(0.0, 20.0)),),
+            trials=1,
+            min_bit_errors=0,
+            master_seed=draw(st.integers(0, 2**16)),
+        )
+    except ValueError:
+        reject()
+    frames = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, frames - 1)))) if frames > 1 else []
+    bounds = [0, *cuts, frames]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return config, draw(st.integers(0, 3)), frames, chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_runs())
+def test_contiguous_splits_give_the_same_tallies(run):
+    # The worker-invariance contract without a process pool: a frame's tally
+    # depends only on its own stream, not on the frames it runs with.
+    config, point, frames, chunks = run
+    snr = config.ebn0_db[0]
+    together = _simulate_frames(config, snr, point, range(frames))
+    split = [t for chunk in chunks for t in _simulate_frames(config, snr, point, chunk)]
+    assert split == together
 
 
 def test_chunks_are_contiguous_and_near_equal():
