@@ -406,21 +406,31 @@ def _draw_pilots(rng, points: np.ndarray, blocks: int, count: int) -> np.ndarray
     return values
 
 
-def _draw_frame(rng, config: SystemConfig, n_bits: int, pilot_points=None):
-    """A frame's draws ahead of its noise, steps 1-4 of the order that
-    :func:`_simulate_frames` gives.  Returns (phases, oscillator steps,
-    bits, pilot values); all but the phases have one row per block, and the
-    pilot values are drawn only given the pilot alphabet's points."""
+def _draw_frames(rngs, config: SystemConfig, n_bits: int, pilot_points=None):
+    """Each frame's draws ahead of its noise, steps 1-4 of the order that
+    :func:`_simulate_frames` gives, one frame per generator in ``rngs``.
+    Returns (phases, oscillator steps, bits, pilot values) with a leading
+    frame axis; all but the phases then have one row per block, and the
+    pilot values are drawn (else None) only given the pilot alphabet's
+    points."""
     g = config.geometry
-    blocks = g.blocks_per_frame
+    frames, blocks = len(rngs), g.blocks_per_frame
     fast = config.fading_mode == "fast_block_phase"
-    phases = rng.uniform(0.0, TWO_PI, 2 + blocks if fast else 2)
     step_std = math.radians(config.phase_step_std_deg)
-    steps = rng.normal(0.0, step_std, blocks) if step_std else np.zeros(blocks)
-    bits = rng.integers(0, 2, (blocks, n_bits), dtype=np.uint8)
-    if pilot_points is None:
-        return phases, steps, bits, None
-    return phases, steps, bits, _draw_pilots(rng, pilot_points, blocks, g.pilots_per_block)
+    phases = np.empty((frames, 2 + blocks if fast else 2))
+    steps = np.zeros((frames, blocks))
+    bits = np.empty((frames, blocks, n_bits), dtype=np.uint8)
+    pilots = None
+    if pilot_points is not None:
+        pilots = np.empty((frames, blocks, g.pilots_per_block), dtype=complex)
+    for f, rng in enumerate(rngs):
+        phases[f] = rng.uniform(0.0, TWO_PI, phases.shape[1])
+        if step_std:
+            steps[f] = rng.normal(0.0, step_std, blocks)
+        bits[f] = rng.integers(0, 2, (blocks, n_bits), dtype=np.uint8)
+        if pilots is not None:
+            pilots[f] = _draw_pilots(rng, pilot_points, blocks, g.pilots_per_block)
+    return phases, steps, bits, pilots
 
 
 def _unit_preamble(length: int) -> np.ndarray:
@@ -454,7 +464,7 @@ def _simulate_frames(
     4. flexible schemes: one ``integers`` call for every block's pilot
        values, then the redraws of degenerate pilot sets in block order
 
-    (:func:`_draw_frame`), and then ``standard_normal`` pairs for the
+    (:func:`_draw_frames`), and then ``standard_normal`` pairs for the
     initial preamble (flexible schemes) and for each block in turn, which
     become unit-variance complex noise scaled to the block's received power.
     So a frame's tally does not depend on the frames it runs with.
@@ -509,17 +519,10 @@ def _simulate_frames(
     mse_den = np.zeros(frames)
     iteration_counts = np.zeros((frames, config.max_iterations), dtype=np.int64)
 
-    pilot_points = None if classical else pilot_const.points
-    draws = [
-        _draw_frame(rng, config, n_index_bits + n_symbol_bits, pilot_points) for rng in rngs
-    ]
-    phases, steps, bits, all_pilots = zip(*draws)
-    channels = channel_trajectory(
-        np.stack(phases), np.stack(steps), config.fading_mode, tx, config.path_gain
+    phases, steps, bits, all_pilots = _draw_frames(
+        rngs, config, n_index_bits + n_symbol_bits, None if classical else pilot_const.points
     )
-    bits = np.stack(bits)
-    if not classical:
-        all_pilots = np.stack(all_pilots)
+    channels = channel_trajectory(phases, steps, config.fading_mode, tx, config.path_gain)
 
     if not classical:
         # The flexible schemes open each frame with a known preamble.

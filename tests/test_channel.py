@@ -14,7 +14,7 @@ from impilot.channel import (
     propagate_blocks,
     unit_noise,
 )
-from impilot.harness import SystemConfig, _draw_frame
+from impilot.harness import SystemConfig, _draw_frames
 from impilot.im_codec import BlockGeometry
 from impilot.impairments import RxImpairments, TxImpairments, apply_tx_impairments
 
@@ -161,15 +161,15 @@ def _trajectory_draws(rng, frames, blocks, mode, step_std_deg):
         fading_mode=mode,
         phase_step_std_deg=step_std_deg,
     )
-    draws = [_draw_frame(rng, config, 0) for _ in range(frames)]
-    return np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+    phases, steps, _, _ = _draw_frames(rng.spawn(frames), config, 0)
+    return phases, steps
 
 
 def _oscillator(h, phases, mode):
     """Oscillator phase recovered from a trajectory and its physical phases."""
-    physical = phases[:, :1] if mode == "quasi_static" else np.concatenate(
-        [phases[:, :1], phases[:, 2:]], axis=1
-    )
+    physical = phases[:, :1]
+    if mode == "fast_block_phase":
+        physical = np.concatenate([physical, phases[:, 2:]], axis=1)
     return np.angle(h[..., 0] / TX.direct_coeff) - physical
 
 

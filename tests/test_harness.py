@@ -317,7 +317,7 @@ def _split_runs(draw):
     return config, draw(st.integers(0, 3)), frames, chunks
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_split_runs())
 def test_contiguous_splits_give_the_same_tallies(run):
     # The worker-invariance contract without a process pool: a frame's tally
