@@ -49,7 +49,7 @@ from .im_codec import (  # noqa: F401
     se_proposed,
 )
 from .impairments import TWO_PI, RxImpairments, TxImpairments
-from .rx_classical import detect_symbols, ls_estimate, mmse_estimate
+from .rx_classical import _pilot_terms, detect_symbols, ls_estimate, mmse_estimate
 from .rx_turbo import DNP_MODES, turbo_receive, turbo_receive_frames  # noqa: F401
 
 __all__ = [
@@ -387,8 +387,7 @@ def count_bit_errors(sent, received) -> int:
 def _spans_both_axes(values) -> np.ndarray:
     """Whether each pilot set (last axis) keeps its [p, conj(p)] matrix rank
     two, i.e. its values do not all lie on one line through the origin."""
-    a = (np.abs(values) ** 2).sum(axis=-1)
-    s2 = (values**2).sum(axis=-1)
+    a, s2 = _pilot_terms(values)
     return a - np.abs(s2) > 1e-9 * a
 
 
