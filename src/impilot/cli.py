@@ -22,6 +22,8 @@ from .harness import (
     write_csv,
 )
 
+MAX_GRID_POINTS = 10_000
+
 
 def _parse_grid(text: str) -> tuple:
     """"start:step:stop" (stop inclusive) or a comma list or a single value."""
@@ -30,9 +32,14 @@ def _parse_grid(text: str) -> tuple:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("grid must be start:step:stop")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise argparse.ArgumentTypeError("grid start, step and stop must be finite")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        half_up = (stop - start) / step + 0.5
+        if not half_up < MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(f"grid has more than {MAX_GRID_POINTS} points")
+        count = int(half_up) + 1
         return tuple(start + step * i for i in range(count))
     return tuple(float(p) for p in text.split(","))
 

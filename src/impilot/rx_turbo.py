@@ -26,6 +26,7 @@ if its block were processed alone; :func:`turbo_receive` is that one-block
 form.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +59,27 @@ __all__ = [
 
 DNP_FLOOR = 1e-12
 DNP_MODES = ("prior", "refresh")
-SUSPICION_FACTOR = 1.15
+FALSE_FLAG_RATE = 1e-3
 RESCUE_MARGIN = 3.0
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_quantile(dof: int) -> float:
+    """Upper ``FALSE_FLAG_RATE`` quantile of Gamma(dof), by bisection on the
+    log of the Erlang tail e^-x * sum_{i<dof} x^i / i! (in linear space it
+    underflows for large ``dof``)."""
+    def above(x):
+        terms = [i * math.log(x) - math.lgamma(i + 1) for i in range(dof)]
+        top = max(terms)
+        log_tail = top - x + math.log(sum(math.exp(t - top) for t in terms))
+        return log_tail > math.log(FALSE_FLAG_RATE)
+
+    lo, hi = 0.0, float(dof)
+    while above(hi):
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 def _dnp(rx: RxImpairments, received_power):
@@ -172,6 +192,7 @@ class TurboResult:
     symbol_bits: np.ndarray
     ls_fallbacks: int
     restarted: bool = False
+    flagged: bool = False
 
 
 @dataclass
@@ -189,6 +210,7 @@ class TurboFrames:
     symbol_bits: np.ndarray
     ls_fallbacks: np.ndarray
     restarted: np.ndarray
+    flagged: np.ndarray
 
     def row(self, frame: int) -> TurboResult:
         """One frame's output as a :class:`TurboResult`."""
@@ -202,6 +224,7 @@ class TurboFrames:
             symbol_bits=self.symbol_bits[frame],
             ls_fallbacks=int(self.ls_fallbacks[frame]),
             restarted=bool(self.restarted[frame]),
+            flagged=bool(self.flagged[frame]),
         )
 
 
@@ -446,16 +469,18 @@ def turbo_receive_frames(
     # rule has rare stable wrong solutions in which one or more subblocks
     # consistently claim data samples as pilots.  Those leave true (boosted)
     # pilots badly explained, so the whole-block residual stands above the
-    # distortion-plus-noise level.  On suspicion, rescue candidates are built
-    # from a second pass seeded by sample magnitude alone plus
-    # leave-one-pair-out refits of each pattern, and a candidate is adopted
-    # only if it beats the settled solution's residual by a clear margin.
+    # distortion-plus-noise level, over which noise alone gives about a
+    # Gamma(block_length - 2) draw (two complex coefficients are fitted); a
+    # block is flagged above its upper quantile at FALSE_FLAG_RATE.  Rescue
+    # candidates are built from a second pass seeded by sample magnitude
+    # alone plus leave-one-pair-out refits of each pattern, and a candidate
+    # is adopted only if it beats the settled residual by a clear margin.
     # Solutions that merely ran out of iteration budget are left alone:
     # not-yet-converged detection is expected to be poor, and hiding that
     # would misstate how performance depends on the budget.
     settled = converged | oscillating
-    suspicious = residual > SUSPICION_FACTOR * geometry.block_length * dnp_measured
-    rows = np.flatnonzero(settled & suspicious)
+    flagged = settled & (residual > _flag_quantile(geometry.block_length - 2) * dnp_measured)
+    rows = np.flatnonzero(flagged)
     if rows.size:
         alt_pattern, alt_iterations, alt_converged, alt_oscillating, alt_mate = run_pass(
             rows, _top_positions(np.abs(y[rows]) ** 2, per_sub)
@@ -466,14 +491,11 @@ def turbo_receive_frames(
         # A second-pass pattern equal to the settled one adds nothing.
         kept = pattern[rows]
         source_patterns = np.stack([kept, alt_pattern, alt_mate], axis=1)
-        source_valid = np.stack(
-            [np.ones(rows.size, dtype=bool), np.ones(rows.size, dtype=bool), alt_oscillating],
-            axis=1,
-        )
+        source_valid = np.ones((rows.size, 3), dtype=bool)
+        source_valid[:, 2] = alt_oscillating
         source_valid[:, 1:] &= ~np.all(source_patterns[:, 1:] == kept[:, None], axis=(2, 3))
         source_iterations = np.stack([iterations[rows], alt_iterations, alt_iterations], axis=1)
         source_converged = np.stack([converged[rows], alt_converged, alt_converged], axis=1)
-        source_restarted = np.array([False, True, True])
 
         joint = np.zeros((rows.size, 3, 1, 2), dtype=complex)
         row_of, source_of = np.nonzero(source_valid[:, 1:])
@@ -508,7 +530,7 @@ def turbo_receive_frames(
         h_final[winners] = estimates[np.flatnonzero(adopt), best[adopt]]
         iterations[winners] = source_iterations[pick]
         converged[winners] = source_converged[pick]
-        restarted[winners] = source_restarted[pick[1]]
+        restarted[winners] = pick[1] > 0
 
     data = np.ones((frames, geometry.block_length), dtype=bool)
     np.put_along_axis(data, (pattern + offsets).reshape(frames, -1), False, axis=-1)
@@ -527,4 +549,5 @@ def turbo_receive_frames(
         symbol_bits=symbol_bits,
         ls_fallbacks=fallbacks,
         restarted=restarted,
+        flagged=flagged,
     )

@@ -1,4 +1,6 @@
+import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ def test_parse_grid_forms():
     assert _parse_grid("0:2:6") == (0.0, 2.0, 4.0, 6.0)
     assert _parse_grid("4,8,12") == (4.0, 8.0, 12.0)
     assert _parse_grid("15") == (15.0,)
+    assert len(_parse_grid("0:1:9999")) == 10000
 
 
 def test_boundary_subcommand(tmp_path):
@@ -139,3 +142,30 @@ def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ("0:0.0000001:1e9", "more than 10000 points"),
+        ("-1e308:1e-300:1e308", "more than 10000 points"),
+        ("0:inf:4", "finite"),
+        ("nan:1:4", "finite"),
+        ("0:1:inf", "finite"),
+    ],
+)
+def test_grid_bounds_rejected_before_building(grid, message, tmp_path, capsys):
+    # the grid is refused from its bounds alone, so no large tuple is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _parse_grid(grid)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ber", f"--snr-db={grid}", "--trials", "1", "--out", str(tmp_path / "res")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert peak < 1_000_000
+    assert not (tmp_path / "res").exists()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from impilot.constellation import build_data_alphabet, build_pilot_alphabet
 from impilot.im_codec import (
@@ -19,6 +20,8 @@ from impilot.im_codec import (
 from impilot.impairments import RxImpairments, TxImpairments
 from impilot.rx_classical import solve_two_path_ls
 from impilot.rx_turbo import (
+    FALSE_FLAG_RATE,
+    _flag_quantile,
     llr_values,
     prior_dnp,
     turbo_receive,
@@ -432,7 +435,7 @@ def test_turbo_validation():
 def assert_row_matches(row, alone):
     assert row.pattern == alone.pattern
     assert row.channel_estimate.tobytes() == alone.channel_estimate.tobytes()
-    for name in ("iterations", "converged", "ls_fallbacks", "restarted"):
+    for name in ("iterations", "converged", "ls_fallbacks", "restarted", "flagged"):
         assert getattr(row, name) == getattr(alone, name)
     for name in ("index_bits", "unmapped", "symbol_bits"):
         assert np.array_equal(getattr(row, name), getattr(alone, name))
@@ -458,6 +461,7 @@ def test_stacked_rows_match_one_block_calls():
         rx, TRANSMIT_POWER, **options,
     )
     assert stacked.restarted.any()
+    assert not (stacked.restarted & ~stacked.flagged).any()
     assert len(set(stacked.iterations.tolist())) > 3
     for f in range(60):
         alone = turbo_receive(
@@ -465,6 +469,43 @@ def test_stacked_rows_match_one_block_calls():
             TRANSMIT_POWER, **options,
         )
         assert_row_matches(stacked.row(f), alone)
+
+
+def test_flag_quantile_matches_gamma_isf():
+    for dof in range(2, 301):
+        expected = stats.gamma.isf(FALSE_FLAG_RATE, dof)
+        assert _flag_quantile(dof) == pytest.approx(expected, rel=1e-12)
+    assert 1.39 < _flag_quantile(62) / 64 < 1.40
+
+
+def test_screen_rarely_flags_noise_only_blocks():
+    # correct patterns under the true channel leave only noise in the
+    # residual.  The final fit uses the pilots alone, so its error adds to
+    # the data samples' residual: the noise-only mean is about 66 dnp, not
+    # the Gamma(62) model's 62, and the nominal 1e-3 flags 41 of these 2000
+    # blocks.  A threshold of 1.15 x 64 dnp would flag 433 of them.
+    rng = np.random.default_rng(21)
+    frames, noise_variance = 2000, 0.03
+    index_bits = rng.integers(0, 2, (frames, GEOMETRY.index_bits_per_block))
+    symbol_bits = rng.integers(0, 2, (frames, GEOMETRY.symbol_bits_per_block(4)))
+    pilots = PILOT.points[rng.integers(0, 4, (frames, GEOMETRY.pilots_per_block))]
+    symbols, _ = assemble_blocks(index_bits, symbol_bits, pilots, GEOMETRY, DATA)
+    tx = TxImpairments(0.2, math.radians(2.0))
+    h = np.array([tx.direct_coeff, tx.image_coeff]) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (frames, 1))
+    )
+    noise = rng.normal(size=symbols.shape) + 1j * rng.normal(size=symbols.shape)
+    received = (
+        symbols * h[:, :1]
+        + np.conj(symbols) * h[:, 1:]
+        + math.sqrt(noise_variance / 2) * noise
+    )
+    result = turbo_receive_frames(
+        received, h, GEOMETRY, DATA, PILOT, pilots, make_rx(noise_variance), TRANSMIT_POWER
+    )
+    assert result.converged.all()
+    assert result.flagged.sum() <= 60
+    assert not result.restarted.any()
 
 
 @settings(max_examples=40, deadline=None)
