@@ -481,9 +481,10 @@ def test_flag_quantile_matches_gamma_isf():
 def test_screen_rarely_flags_noise_only_blocks():
     # correct patterns under the true channel leave only noise in the
     # residual.  The final fit uses the pilots alone, so its error adds to
-    # the data samples' residual: the noise-only mean is about 66 dnp, not
-    # the Gamma(62) model's 62, and the nominal 1e-3 flags 41 of these 2000
-    # blocks.  A threshold of 1.15 x 64 dnp would flag 433 of them.
+    # the data samples' residual: the noise-only mean is about 67 dnp, not
+    # the Gamma(62) model's 62, with a heavier tail, and the nominal 1e-3
+    # flags 41 of these 2000 blocks.  A threshold of 1.15 x 64 dnp would
+    # flag 433 of them.
     rng = np.random.default_rng(21)
     frames, noise_variance = 2000, 0.03
     index_bits = rng.integers(0, 2, (frames, GEOMETRY.index_bits_per_block))
