@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# sample_rx_distortion_noise is not called here; it stays importable from
-# this module for tools that wrap its calls by name.
+# sample_rx_distortion_noise is not called here; kept because
+# perfbench/tracing.py WRAPPED wraps it on this module.
 from .impairments import (  # noqa: F401
     RxImpairments,
     TxImpairments,

@@ -17,10 +17,7 @@ __all__ = [
     "build_pilot_alphabet",
     "scaled",
     "min_cross_distance",
-    "map_bits",
-    "demap_hard",
     "map_bits_array",
-    "demap_hard_array",
 ]
 
 _DISJOINT_TOL = 1e-9
@@ -121,32 +118,8 @@ def min_cross_distance(gamma: float) -> float:
     return float(2.0 - 4.0 / (2.0 / root + root))
 
 
-def _word_from_bits(bits) -> int:
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
-        value = (value << 1) | int(b)
-    return value
-
-
-def map_bits(bits, constellation: Constellation) -> complex:
-    """Map one bit word (MSB first) to its constellation point."""
-    if len(bits) != constellation.bits_per_symbol:
-        raise ValueError(
-            f"expected {constellation.bits_per_symbol} bits, got {len(bits)}"
-        )
-    word = _word_from_bits(bits)
-    return complex(constellation.points[constellation._word_to_index[word]])
-
-def demap_hard(value: complex, constellation: Constellation):
-    """Label of the nearest constellation point."""
-    k = int(np.argmin(np.abs(constellation.points - value)))
-    return tuple(int(b) for b in constellation.label_bits[k])
-
-
 def map_bits_array(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Vectorized bit-to-symbol mapping of a flat 0/1 array."""
+    """Points for a flat 0/1 array, one per ``bits_per_symbol`` bits (MSB first)."""
     bits = np.asarray(bits)
     b = constellation.bits_per_symbol
     if bits.size % b:
@@ -156,10 +129,3 @@ def map_bits_array(bits: np.ndarray, constellation: Constellation) -> np.ndarray
     words = groups @ weights
     return constellation.points[constellation._word_to_index[words]]
 
-
-def demap_hard_array(values: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Vectorized nearest-point demapping; returns a flat uint8 bit array."""
-    values = np.asarray(values, dtype=complex)
-    d = np.abs(values[:, None] - constellation.points[None, :])
-    idx = np.argmin(d, axis=1)
-    return constellation.label_bits[idx].reshape(-1)

@@ -22,9 +22,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-# evolve, propagate_block, assemble_block and turbo_receive, the one-block
-# forms, are not called here; they stay importable from this module for
-# tools that wrap its calls by name.
+# evolve, propagate_block, assemble_block and turbo_receive are not called
+# here; kept because perfbench/tracing.py WRAPPED wraps them on this module.
 from .channel import (  # noqa: F401
     FADING_MODES,
     channel_trajectory,
@@ -58,7 +57,6 @@ __all__ = [
     "PointResult",
     "ExperimentResult",
     "CSV_HEADER",
-    "count_bit_errors",
     "run_experiment",
     "run_gamma_sweep",
     "run_iteration_histogram",
@@ -373,15 +371,6 @@ class FrameTally:
     @property
     def bit_errors(self) -> int:
         return self.index_bit_errors + self.symbol_bit_errors
-
-
-def count_bit_errors(sent, received) -> int:
-    """Positional bit error count between equal-length 0/1 arrays."""
-    sent = np.asarray(sent).reshape(-1)
-    received = np.asarray(received).reshape(-1)
-    if sent.size != received.size:
-        raise ValueError("bit arrays differ in length")
-    return int(np.count_nonzero(sent != received))
 
 
 def _spans_both_axes(values) -> np.ndarray:
@@ -724,6 +713,7 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, config.batch_frames)  # no batch has more chunks than frames
     result = ExperimentResult(config=config)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -14,20 +14,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import Constellation, demap_hard_array, map_bits_array
+from .constellation import Constellation, map_bits_array
 
 __all__ = [
     "UnmappedPatternError",
     "BlockGeometry",
-    "IndexPattern",
-    "DataBlock",
     "index_bits_per_subblock",
     "select_indices",
     "rank_indices",
     "assemble_block",
     "assemble_blocks",
     "demap_patterns",
-    "disassemble_block",
     "se_conventional",
     "se_proposed",
     "se_fsc",
@@ -189,46 +186,6 @@ class BlockGeometry:
         return self.data_per_block * (data_order.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class IndexPattern:
-    """Sorted pilot position sets, one tuple per subblock (positions 1-based)."""
-
-    per_subblock: tuple
-
-    def __post_init__(self):
-        for g, subset in enumerate(self.per_subblock):
-            if any(subset[i] >= subset[i + 1] for i in range(len(subset) - 1)):
-                raise ValueError(f"subblock {g}: positions must be strictly ascending")
-            if subset and subset[0] < 1:
-                raise ValueError(f"subblock {g}: positions are 1-based")
-
-    @classmethod
-    def from_array(cls, positions: np.ndarray) -> "IndexPattern":
-        """From a (subblocks, pilots) array of 0-based intra-subblock offsets."""
-        return cls(tuple(tuple(int(i) + 1 for i in row) for row in positions))
-
-    def to_array(self) -> np.ndarray:
-        """(subblocks, pilots) array of 0-based intra-subblock offsets."""
-        return np.asarray(self.per_subblock, dtype=np.int64) - 1
-
-    def absolute_positions(self, geometry: BlockGeometry) -> np.ndarray:
-        """Flat 0-based positions of every pilot inside the block."""
-        offsets = self.to_array()
-        base = np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
-        return (offsets + base).reshape(-1)
-
-
-@dataclass(frozen=True)
-class DataBlock:
-    """One transmitted block plus the ground truth needed for scoring."""
-
-    symbols: np.ndarray
-    pattern: IndexPattern
-    index_bits: np.ndarray
-    symbol_bits: np.ndarray
-    pilot_symbols: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _offset_table(subblock_length: int, pilots_per_subblock: int) -> np.ndarray:
     """(words, pilots) array: the 0-based offsets each index word selects."""
@@ -245,7 +202,8 @@ def assemble_blocks(
     geometry: BlockGeometry,
     data_alphabet: Constellation,
 ):
-    """Stacked form of :func:`assemble_block`, one block per row.
+    """Interleave data symbols with pilots at the positions the index bits
+    select, one block per row.
 
     Takes (rows, index bits), (rows, symbol bits) and (rows, pilots) arrays.
     Returns the transmitted symbols (rows, block_length) and the pilot
@@ -322,36 +280,16 @@ def assemble_block(
     pilot_symbols,
     geometry: BlockGeometry,
     data_alphabet: Constellation,
-) -> DataBlock:
-    """Interleave data symbols with pilots at the positions the index bits select."""
-    index_bits = np.asarray(index_bits, dtype=np.uint8).reshape(-1)
-    symbol_bits = np.asarray(symbol_bits, dtype=np.uint8).reshape(-1)
-    pilot_symbols = np.asarray(pilot_symbols, dtype=complex).reshape(-1)
-    symbols, pattern = assemble_blocks(
-        index_bits[None], symbol_bits[None], pilot_symbols[None], geometry, data_alphabet
+):
+    """:func:`assemble_blocks` on a stack of one block: flat bit and pilot
+    arrays in, (symbols, pattern) out with a leading axis of 1."""
+    return assemble_blocks(
+        np.reshape(index_bits, (1, -1)),
+        np.reshape(symbol_bits, (1, -1)),
+        np.reshape(pilot_symbols, (1, -1)),
+        geometry,
+        data_alphabet,
     )
-    return DataBlock(
-        symbols=symbols[0],
-        pattern=IndexPattern.from_array(pattern[0]),
-        index_bits=index_bits,
-        symbol_bits=symbol_bits,
-        pilot_symbols=pilot_symbols,
-    )
-
-
-def disassemble_block(block: DataBlock, geometry: BlockGeometry, data_alphabet: Constellation):
-    """Recover (index_bits, symbol_bits) from a block with known pattern."""
-    index_bits = np.concatenate(
-        [
-            rank_indices(subset, geometry.subblock_length, geometry.pilots_per_subblock)
-            for subset in block.pattern.per_subblock
-        ]
-    ).astype(np.uint8)
-    positions = block.pattern.absolute_positions(geometry)
-    pilot_mask = np.zeros(geometry.block_length, dtype=bool)
-    pilot_mask[positions] = True
-    symbol_bits = demap_hard_array(block.symbols[~pilot_mask], data_alphabet)
-    return index_bits, symbol_bits
 
 
 def se_conventional(block_length: int, preamble_length: int, order: int) -> float:

@@ -20,10 +20,10 @@ fit, screen, detection, index demapping) as arrays with a leading frame
 axis, shaped ``(F, subblocks, subblock_length)`` where the stage works per
 subblock.  A row leaves the iteration once it reaches a fixed point, a
 period-two oscillation or the budget, and the rescue runs on the rows the
-screen flags only.  Index words are read by
+screen flags only.  Pilot patterns are 0-based offsets, one row per frame,
+and index words are read from them by
 :func:`impilot.im_codec.demap_patterns`.  Every row carries the same bits as
-if its block were processed alone; :func:`turbo_receive` is that one-block
-form.
+if its block were processed alone, as a stack of one.
 """
 
 import functools
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .im_codec import BlockGeometry, IndexPattern, demap_patterns
+from .im_codec import BlockGeometry, demap_patterns
 from .impairments import RxImpairments
 from .rx_classical import (
     _normal_terms,
@@ -43,13 +43,12 @@ from .rx_classical import (
     two_path_ls,
 )
 
-# rank_indices and solve_two_path_ls are not called here; they stay
-# importable from this module for tools that wrap its calls by name.
+# Not called here; kept because perfbench/tracing.py WRAPPED wraps both
+# names on this module.
 from .im_codec import rank_indices  # noqa: F401
 from .rx_classical import solve_two_path_ls  # noqa: F401
 
 __all__ = [
-    "TurboResult",
     "TurboFrames",
     "prior_dnp",
     "llr_values",
@@ -180,26 +179,11 @@ def _leave_own_out(terms):
 
 
 @dataclass
-class TurboResult:
-    """Receiver output for one block plus per-block diagnostics."""
-
-    pattern: IndexPattern
-    channel_estimate: np.ndarray
-    iterations: int
-    converged: bool
-    index_bits: np.ndarray
-    unmapped: np.ndarray
-    symbol_bits: np.ndarray
-    ls_fallbacks: int
-    restarted: bool = False
-    flagged: bool = False
-
-
-@dataclass
 class TurboFrames:
-    """Receiver output for a stack of blocks: the fields of
-    :class:`TurboResult` as arrays with a leading frame axis.  ``pattern``
-    holds 0-based offsets shaped (frames, subblocks, pilots_per_subblock)."""
+    """Receiver output for a stack of blocks, one row per frame.  ``pattern``
+    holds 0-based offsets (frames, subblocks, pilots_per_subblock);
+    ``restarted`` marks rows that adopted a rescue candidate, ``flagged``
+    rows the consistency screen flagged."""
 
     pattern: np.ndarray
     channel_estimate: np.ndarray
@@ -211,21 +195,6 @@ class TurboFrames:
     ls_fallbacks: np.ndarray
     restarted: np.ndarray
     flagged: np.ndarray
-
-    def row(self, frame: int) -> TurboResult:
-        """One frame's output as a :class:`TurboResult`."""
-        return TurboResult(
-            pattern=IndexPattern.from_array(self.pattern[frame]),
-            channel_estimate=self.channel_estimate[frame],
-            iterations=int(self.iterations[frame]),
-            converged=bool(self.converged[frame]),
-            index_bits=self.index_bits[frame],
-            unmapped=self.unmapped[frame],
-            symbol_bits=self.symbol_bits[frame],
-            ls_fallbacks=int(self.ls_fallbacks[frame]),
-            restarted=bool(self.restarted[frame]),
-            flagged=bool(self.flagged[frame]),
-        )
 
 
 def turbo_receive(
@@ -240,9 +209,9 @@ def turbo_receive(
     max_iterations: int = 4,
     use_stopping: bool = True,
     dnp_mode: str = "refresh",
-) -> TurboResult:
+) -> TurboFrames:
     """Run the full iterative receiver on one block: :func:`turbo_receive_frames`
-    on a stack of one."""
+    on a stack of one, so every field has a leading axis of 1."""
     return turbo_receive_frames(
         np.asarray(received_block, dtype=complex).reshape(1, -1),
         np.asarray(prior_estimate, dtype=complex).reshape(1, 2),
@@ -255,7 +224,7 @@ def turbo_receive(
         max_iterations=max_iterations,
         use_stopping=use_stopping,
         dnp_mode=dnp_mode,
-    ).row(0)
+    )
 
 
 def turbo_receive_frames(

@@ -5,9 +5,6 @@ from impilot.constellation import (
     Constellation,
     build_data_alphabet,
     build_pilot_alphabet,
-    demap_hard,
-    demap_hard_array,
-    map_bits,
     map_bits_array,
     min_cross_distance,
     scaled,
@@ -106,24 +103,14 @@ def test_min_cross_distance_unimodal_at_two():
 
 def test_map_bits_first_label_smallest_phase():
     const = build_data_alphabet(4)
-    assert map_bits([0, 0], const) == pytest.approx(np.exp(1j * np.pi / 4))
-
-
-def test_map_demap_round_trip():
-    const = build_data_alphabet(4)
-    for word in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        assert demap_hard(map_bits(word, const), const) == tuple(word)
-
-
-def test_demap_nearest_neighbour():
-    const = build_data_alphabet(4)
-    assert demap_hard(np.exp(1j * np.pi / 4) * 1.01, const) == (0, 0)
+    assert map_bits_array([0, 0], const)[0] == pytest.approx(np.exp(1j * np.pi / 4))
+    assert not const.label_bits[np.argmin(np.angle(const.points) % (2 * np.pi))].any()
 
 
 def test_map_bits_wrong_width():
     const = build_data_alphabet(4)
-    with pytest.raises(ValueError):
-        map_bits([0, 1, 1], const)
+    with pytest.raises(ValueError, match="bit count 3 not a multiple of 2"):
+        map_bits_array([0, 1, 1], const)
 
 
 def test_gray_labels_differ_in_one_bit_between_neighbours():
@@ -135,13 +122,14 @@ def test_gray_labels_differ_in_one_bit_between_neighbours():
 
 
 def test_array_mapping_matches_scalar():
+    # point k carries label k: each word maps to the point whose label it is
     rng = np.random.default_rng(0)
     const = build_data_alphabet(8)
     bits = rng.integers(0, 2, 3 * 50)
     symbols = map_bits_array(bits, const)
     for i in range(50):
-        assert symbols[i] == map_bits(bits[3 * i : 3 * i + 3], const)
-    assert np.array_equal(demap_hard_array(symbols, const), bits.astype(np.uint8))
+        k = int(np.flatnonzero(const.points == symbols[i])[0])
+        assert np.array_equal(const.label_bits[k], bits[3 * i : 3 * i + 3])
 
 
 def test_scaled_power():

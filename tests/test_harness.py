@@ -13,7 +13,6 @@ from impilot.harness import (
     DNP_MODES,
     SCHEMES,
     SystemConfig,
-    count_bit_errors,
     run_experiment,
     run_gamma_sweep,
     run_iteration_histogram,
@@ -23,6 +22,7 @@ from impilot.harness import (
     _simulate_frames,
     _unit_preamble,
 )
+from impilot import harness
 from impilot.constellation import build_pilot_alphabet
 from impilot.im_codec import BlockGeometry
 
@@ -193,17 +193,6 @@ def test_normalized_block_power():
     assert pilot.average_power / data.average_power == pytest.approx(4.0)
 
 
-def test_count_bit_errors_exact():
-    rng = np.random.default_rng(0)
-    sent = rng.integers(0, 2, 500)
-    received = sent.copy()
-    flips = rng.choice(500, size=37, replace=False)
-    received[flips] ^= 1
-    assert count_bit_errors(sent, received) == 37
-    with pytest.raises(ValueError):
-        count_bit_errors(sent, received[:-1])
-
-
 def _rank_two(values):
     """Whether each pilot set on the last axis gives [p, conj(p)] rank two."""
     a = np.sum(np.abs(values) ** 2, axis=-1)
@@ -258,6 +247,30 @@ def test_worker_count_does_not_change_results(tmp_path):
         outputs.append(path.read_bytes())
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_worker_pool_is_capped_at_the_batch_width(monkeypatch):
+    # a batch is cut into at most batch_frames chunks, so more workers than
+    # that would be started with nothing to do
+    sizes = []
+
+    class SerialExecutor:
+        """Records the pool size asked for and runs ``map`` in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialExecutor)
+    cfg = quiet_config(trials=5, batch_frames=2, ebn0_db=(6.0,))
+    capped = run_experiment(cfg, workers=10**6)
+    assert sizes == [2]
+    assert capped.csv_rows() == run_experiment(cfg, workers=1).csv_rows()
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impilot.constellation import build_data_alphabet, build_pilot_alphabet
 from impilot.im_codec import (
     BlockGeometry,
-    IndexPattern,
     UnmappedPatternError,
     assemble_block,
     assemble_blocks,
     demap_patterns,
-    disassemble_block,
     index_bits_per_subblock,
     rank_indices,
     se_conventional,
@@ -19,6 +19,7 @@ from impilot.im_codec import (
     se_proposed,
     select_indices,
 )
+from impilot.rx_classical import detect_symbols
 
 
 @pytest.mark.parametrize(
@@ -115,42 +116,17 @@ def test_geometry_rejects_non_integer_counts(field, value):
         BlockGeometry(**{field: value})
 
 
-def test_index_pattern_validation():
-    with pytest.raises(ValueError):
-        IndexPattern(((2, 1),))
-    with pytest.raises(ValueError):
-        IndexPattern(((0, 1),))
-    pattern = IndexPattern(((1, 4), (2, 3)))
-    assert np.array_equal(pattern.to_array(), [[0, 3], [1, 2]])
-    assert IndexPattern.from_array(pattern.to_array()) == pattern
-
-
 def test_table_one_subblock_layouts():
     g = BlockGeometry(block_length=8, subblocks=2, pilots_per_subblock=2)
     data = build_data_alphabet(4)
     pilots = build_pilot_alphabet(4, 4.0).points[:4]
     # word [0,0]: pilots in slots 1,2 -- word [1,0]: pilots in slots 3,4
-    block = assemble_block([0, 0, 1, 0], [0] * 8, pilots, g, data)
-    first, second = block.symbols[:4], block.symbols[4:]
+    symbols, _ = assemble_block([0, 0, 1, 0], [0] * 8, pilots, g, data)
+    first, second = symbols[0, :4], symbols[0, 4:]
     assert np.allclose(first[:2], pilots[:2])
     assert np.allclose(np.abs(first[2:]), 1.0)
     assert np.allclose(second[2:], pilots[2:])
     assert np.allclose(np.abs(second[:2]), 1.0)
-
-
-def test_assemble_disassemble_round_trip():
-    rng = np.random.default_rng(1)
-    g = BlockGeometry()
-    data = build_data_alphabet(4)
-    pilot = build_pilot_alphabet(4, 4.0)
-    for _ in range(25):
-        index_bits = rng.integers(0, 2, g.index_bits_per_block)
-        symbol_bits = rng.integers(0, 2, g.symbol_bits_per_block(4))
-        values = pilot.points[rng.integers(0, 4, g.pilots_per_block)]
-        block = assemble_block(index_bits, symbol_bits, values, g, data)
-        rec_index, rec_symbol = disassemble_block(block, g, data)
-        assert np.array_equal(rec_index, index_bits.astype(np.uint8))
-        assert np.array_equal(rec_symbol, symbol_bits.astype(np.uint8))
 
 
 def test_assembled_block_positions_and_alphabets():
@@ -161,13 +137,13 @@ def test_assembled_block_positions_and_alphabets():
     index_bits = rng.integers(0, 2, g.index_bits_per_block)
     symbol_bits = rng.integers(0, 2, g.symbol_bits_per_block(4))
     values = pilot.points[rng.integers(0, 4, g.pilots_per_block)]
-    block = assemble_block(index_bits, symbol_bits, values, g, data)
-    positions = block.pattern.absolute_positions(g)
+    symbols, pattern = assemble_block(index_bits, symbol_bits, values, g, data)
+    positions = pattern[0] + np.arange(g.subblocks)[:, None] * g.subblock_length
     mask = np.zeros(g.block_length, dtype=bool)
-    mask[positions] = True
+    mask[positions.reshape(-1)] = True
     # disjoint alphabets make membership testable sample by sample
-    assert np.allclose(np.abs(block.symbols[mask]), 2.0)
-    assert np.allclose(np.abs(block.symbols[~mask]), 1.0)
+    assert np.allclose(np.abs(symbols[0, mask]), 2.0)
+    assert np.allclose(np.abs(symbols[0, ~mask]), 1.0)
 
 
 def test_assemble_rejects_bad_counts():
@@ -228,33 +204,47 @@ def test_stacked_assembly_rows_match_one_block_assembly(geometry):
     values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
     symbols, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
     for f in range(rows):
-        block = assemble_block(index_bits[f], symbol_bits[f], values[f], geometry, data)
-        assert np.array_equal(symbols[f], block.symbols)
-        assert IndexPattern.from_array(pattern[f]) == block.pattern
+        one_symbols, one_pattern = assemble_block(
+            index_bits[f], symbol_bits[f], values[f], geometry, data
+        )
+        assert np.array_equal(symbols[f], one_symbols[0])
+        assert np.array_equal(pattern[f], one_pattern[0])
 
 
-@pytest.mark.parametrize(
-    "geometry",
-    [
-        BlockGeometry(),
-        # six positions carry two bits, so two position sets map to no word
-        BlockGeometry(block_length=48),
-        # two pilots in four positions use the fixed table
-        BlockGeometry(block_length=32, pilots_per_subblock=2),
-    ],
-    ids=["default", "block_length_48", "table_4_2"],
-)
-def test_demap_patterns_inverts_stacked_assembly(geometry):
-    rng = np.random.default_rng(22)
+@st.composite
+def geometries(draw):
+    """Every subblock split BlockGeometry accepts, subblocks up to 16 long."""
+    subblock_length = draw(st.integers(2, 16))
+    pilots = draw(st.integers(1, subblock_length - 1))
+    subblocks = draw(st.integers(1, 4))
+    return BlockGeometry(subblock_length * subblocks, subblocks, pilots, preamble_length=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=geometries(), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(geometry=BlockGeometry(), rows=16, seed=22)
+# six positions carry two bits, so two position sets map to no word
+@example(geometry=BlockGeometry(block_length=48), rows=16, seed=22)
+# two pilots in four positions use the fixed table
+@example(geometry=BlockGeometry(block_length=32, pilots_per_subblock=2), rows=16, seed=22)
+def test_demap_patterns_inverts_stacked_assembly(geometry, rows, seed):
+    rng = np.random.default_rng(seed)
     data = build_data_alphabet(4)
     pilots = build_pilot_alphabet(4, 4.0).points
-    rows = 16
     index_bits = rng.integers(0, 2, (rows, geometry.index_bits_per_block))
     symbol_bits = rng.integers(0, 2, (rows, geometry.symbol_bits_per_block(4)))
     values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
-    _, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
+    symbols, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
     bits, unmapped = demap_patterns(
         pattern, geometry.subblock_length, geometry.pilots_per_subblock
     )
     assert unmapped.shape == (rows, geometry.subblocks) and not unmapped.any()
     assert np.array_equal(bits, index_bits)
+    # the samples off the pattern are the data symbols, in order
+    data_mask = np.ones(symbols.shape, dtype=bool)
+    offsets = np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
+    np.put_along_axis(data_mask, (pattern + offsets).reshape(rows, -1), False, axis=1)
+    _, detected = detect_symbols(
+        symbols[data_mask].reshape(rows, -1), np.tile([1.0, 0.0], (rows, 1)), data
+    )
+    assert np.array_equal(detected, symbol_bits)
