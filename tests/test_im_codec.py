@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impilot.constellation import build_data_alphabet, build_pilot_alphabet
@@ -220,14 +220,7 @@ def geometries(draw):
     return BlockGeometry(subblock_length * subblocks, subblocks, pilots, preamble_length=1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(geometry=geometries(), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-@example(geometry=BlockGeometry(), rows=16, seed=22)
-# six positions carry two bits, so two position sets map to no word
-@example(geometry=BlockGeometry(block_length=48), rows=16, seed=22)
-# two pilots in four positions use the fixed table
-@example(geometry=BlockGeometry(block_length=32, pilots_per_subblock=2), rows=16, seed=22)
-def test_demap_patterns_inverts_stacked_assembly(geometry, rows, seed):
+def _check_demap_round_trip(geometry, rows, seed):
     rng = np.random.default_rng(seed)
     data = build_data_alphabet(4)
     pilots = build_pilot_alphabet(4, 4.0).points
@@ -248,3 +241,24 @@ def test_demap_patterns_inverts_stacked_assembly(geometry, rows, seed):
         symbols[data_mask].reshape(rows, -1), np.tile([1.0, 0.0], (rows, 1)), data
     )
     assert np.array_equal(detected, symbol_bits)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        BlockGeometry(),
+        # six positions carry two bits, so two position sets map to no word
+        BlockGeometry(block_length=48),
+        # two pilots in four positions use the fixed table
+        BlockGeometry(block_length=32, pilots_per_subblock=2),
+    ],
+    ids=["default", "block_length_48", "table_4_2"],
+)
+def test_demap_patterns_inverts_stacked_assembly(geometry):
+    _check_demap_round_trip(geometry, rows=16, seed=22)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=geometries(), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_demap_patterns_inverts_stacked_assembly_for_any_geometry(geometry, rows, seed):
+    _check_demap_round_trip(geometry, rows, seed)
