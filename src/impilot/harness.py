@@ -264,6 +264,8 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a mapping, got {data!r}")
         data = dict(data)
         geo_data = data.pop("geometry", None)
         known = {f.name for f in fields(cls)} - {"geometry"}

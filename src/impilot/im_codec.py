@@ -4,7 +4,8 @@ Incoming bits are split into symbol bits (carried by data constellation
 points) and index bits (carried by *where* the pilots sit inside each
 subblock).  Index words address the lowest lexicographic-rank subsets of
 pilot positions, except for the (subblock=4, pilots=2) case which keeps a
-fixed four-row lookup table.
+fixed four-row permutation.  Ranks are computed in closed form both ways,
+so no table grows with the number of position sets.
 """
 
 import math
@@ -35,9 +36,12 @@ class UnmappedPatternError(ValueError):
     """A detected pilot position set has no index-bit preimage."""
 
 
-# Fixed lookup for (subblock_length=4, pilots_per_subblock=2).  Deliberately
-# not lexicographic: the fourth word maps to the outer pair {1, 4}.
-_TABLE_4_2 = ((1, 2), (2, 3), (3, 4), (1, 4))
+# Lexicographic rank each index word selects for (subblock_length=4,
+# pilots_per_subblock=2), and its inverse.  Deliberately not the first four
+# ranks: the fourth word maps to the outer pair {1, 4}, and the diagonals
+# {1, 3} and {2, 4} carry no word.
+_RANKS_4_2 = np.array([0, 3, 5, 2])
+_WORDS_4_2 = np.array([0, -1, 3, 1, -1, 2])
 
 
 def index_bits_per_subblock(subblock_length: int, pilots_per_subblock: int) -> int:
@@ -61,42 +65,51 @@ def _check_integer_fields(config, names) -> None:
             ) from None
 
 
-def _check_subblock(subblock_length, pilots_per_subblock):
-    if not 1 <= pilots_per_subblock < subblock_length:
-        raise ValueError(
-            f"need 1 <= pilots ({pilots_per_subblock}) < subblock length ({subblock_length})"
-        )
-
-
-def _unrank_lex(rank: int, n: int, k: int) -> tuple:
-    """k-subset of {1..n} with lexicographic rank ``rank``."""
-    out = []
-    r = rank
-    c = 1
-    for remaining in range(k, 0, -1):
-        while True:
-            block = math.comb(n - c, remaining - 1)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
+def _check_subblock(n, k):
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= pilots ({k}) < subblock length ({n})")
+    # Ranks are int64.  C(n, k) >= 2^min(k, n - k), so a wide split fails
+    # without forming its huge binomial.
+    if min(k, n - k) >= 63 or math.comb(n, k) >= 1 << 63:
+        raise ValueError(f"C({n}, {k}) pilot position sets reach 2^63, the int64 limit")
 
 
 @lru_cache(maxsize=None)
-def _index_tables(subblock_length: int, pilots_per_subblock: int):
-    """(word -> subset tuple, subset tuple -> word) for all mapped words."""
-    bits = index_bits_per_subblock(subblock_length, pilots_per_subblock)
-    if (subblock_length, pilots_per_subblock) == (4, 2):
-        subsets = _TABLE_4_2
-    else:
-        subsets = tuple(
-            _unrank_lex(r, subblock_length, pilots_per_subblock)
-            for r in range(1 << bits)
-        )
-    return subsets, {s: w for w, s in enumerate(subsets)}
+def _binomials(n: int, k: int) -> np.ndarray:
+    """(k + 1, n) table holding C(m, i) at [i, m], capped at C(n, k).  A
+    set of k positions out of n sums to less than C(n, k), so the cap only
+    touches entries that no rank uses, and it keeps the table in int64."""
+    count = math.comb(n, k)
+    rows = [[min(math.comb(m, i), count) for m in range(n)] for i in range(k + 1)]
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _offsets_of_words(words, n: int, k: int) -> np.ndarray:
+    """Sorted 0-based offsets (..., k) of the position sets that index words
+    (...) select.  A set of lexicographic rank r satisfies
+    C(n, k) - 1 - r = sum_j C(n - 1 - o_j, k - j); each step takes the
+    largest binomial that still fits."""
+    words = np.asarray(words, dtype=np.int64)
+    rest = math.comb(n, k) - 1 - (_RANKS_4_2[words] if (n, k) == (4, 2) else words)
+    table = _binomials(n, k)
+    offsets = np.empty(words.shape + (k,), dtype=np.int64)
+    for j in range(k):
+        c = np.searchsorted(table[k - j], rest, side="right") - 1
+        rest = rest - table[k - j, c]
+        offsets[..., j] = n - 1 - c
+    return offsets
+
+
+def _words_of_offsets(offsets, n: int, k: int) -> np.ndarray:
+    """Index words (...) of sorted 0-based offsets (..., k); -1 marks a
+    position set that no word selects."""
+    picked = _binomials(n, k)[np.arange(k, 0, -1), n - 1 - np.asarray(offsets)]
+    ranks = math.comb(n, k) - 1 - picked.sum(axis=-1)
+    if (n, k) == (4, 2):
+        return _WORDS_4_2[ranks]
+    return np.where(ranks < 1 << index_bits_per_subblock(n, k), ranks, -1)
 
 
 def select_indices(index_bits, subblock_length: int, pilots_per_subblock: int) -> tuple:
@@ -107,8 +120,8 @@ def select_indices(index_bits, subblock_length: int, pilots_per_subblock: int) -
     word = 0
     for b in index_bits:
         word = (word << 1) | int(b)
-    subsets, _ = _index_tables(subblock_length, pilots_per_subblock)
-    return subsets[word]
+    offsets = _offsets_of_words(word, subblock_length, pilots_per_subblock)
+    return tuple(int(o) + 1 for o in offsets)
 
 
 def rank_indices(indices, subblock_length: int, pilots_per_subblock: int) -> tuple:
@@ -124,9 +137,8 @@ def rank_indices(indices, subblock_length: int, pilots_per_subblock: int) -> tup
     if subset[0] < 1 or subset[-1] > subblock_length:
         raise ValueError(f"indices out of range 1..{subblock_length}: {subset}")
     bits = index_bits_per_subblock(subblock_length, pilots_per_subblock)
-    _, reverse = _index_tables(subblock_length, pilots_per_subblock)
-    word = reverse.get(subset)
-    if word is None:
+    word = int(_words_of_offsets(np.subtract(subset, 1), subblock_length, pilots_per_subblock))
+    if word < 0:
         raise UnmappedPatternError(f"pattern {subset} carries no index word")
     return tuple((word >> s) & 1 for s in range(bits - 1, -1, -1))
 
@@ -186,15 +198,6 @@ class BlockGeometry:
         return self.data_per_block * (data_order.bit_length() - 1)
 
 
-@lru_cache(maxsize=None)
-def _offset_table(subblock_length: int, pilots_per_subblock: int) -> np.ndarray:
-    """(words, pilots) array: the 0-based offsets each index word selects."""
-    subsets, _ = _index_tables(subblock_length, pilots_per_subblock)
-    table = np.asarray(subsets, dtype=np.int64) - 1
-    table.setflags(write=False)
-    return table
-
-
 def assemble_blocks(
     index_bits,
     symbol_bits,
@@ -230,7 +233,7 @@ def assemble_blocks(
     words = index_bits.reshape(rows, geometry.subblocks, bits).astype(np.int64) @ (
         1 << np.arange(bits - 1, -1, -1)
     )
-    pattern = _offset_table(geometry.subblock_length, geometry.pilots_per_subblock)[words]
+    pattern = _offsets_of_words(words, geometry.subblock_length, geometry.pilots_per_subblock)
     positions = (
         pattern + np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
     ).reshape(rows, -1)
@@ -243,35 +246,16 @@ def assemble_blocks(
     return symbols, pattern
 
 
-@lru_cache(maxsize=None)
-def _word_table(n: int, k: int):
-    """(weights, words, unmapped): the index word of every set of k pilot
-    positions out of n, addressed by the set's lexicographic rank.  Sorted
-    0-based offsets o_0 < ... have rank C(n, k) - 1 - sum_j weights[j, o_j];
-    ``words`` holds each rank's index bits (zeros where ``unmapped``)."""
-    weights = np.array(
-        [[math.comb(n - 1 - o, k - j) for o in range(n)] for j in range(k)], dtype=np.int64
-    )
-    count = math.comb(n, k)
-    ranks = count - 1 - weights[np.arange(k), _offset_table(n, k)].sum(axis=-1)
-    bits = index_bits_per_subblock(n, k)
-    words = np.zeros((count, bits), dtype=np.uint8)
-    words[ranks] = (np.arange(ranks.size)[:, None] >> np.arange(bits - 1, -1, -1)) & 1
-    unmapped = np.ones(count, dtype=bool)
-    unmapped[ranks] = False
-    return weights, words, unmapped
-
-
 def demap_patterns(pattern, subblock_length: int, pilots_per_subblock: int):
     """Inverse of :func:`assemble_blocks`'s pattern: the index bits
     (rows, subblocks * bits) and unmapped flags (rows, subblocks) of sorted
     0-based position sets (rows, subblocks, pilots).  A position set that no
     index word maps to reads as zero bits with its flag set."""
     pattern = np.asarray(pattern)
-    weights, words, unmapped = _word_table(subblock_length, pilots_per_subblock)
-    picked = weights[np.arange(pilots_per_subblock), pattern].sum(axis=-1)
-    rank = words.shape[0] - 1 - picked
-    return words[rank].reshape(pattern.shape[0], -1), unmapped[rank]
+    words = _words_of_offsets(pattern, subblock_length, pilots_per_subblock)
+    bits = index_bits_per_subblock(subblock_length, pilots_per_subblock)
+    index_bits = (np.maximum(words, 0)[..., None] >> np.arange(bits - 1, -1, -1)) & 1
+    return index_bits.astype(np.uint8).reshape(pattern.shape[0], -1), words < 0
 
 
 def assemble_block(

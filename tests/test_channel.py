@@ -235,3 +235,25 @@ def test_trajectory_oscillator_steps_have_configured_std(mode):
 def test_trajectory_rejects_unknown_mode():
     with pytest.raises(ValueError):
         channel_trajectory(np.zeros((1, 2)), np.zeros((1, 3)), "rayleigh", TX)
+
+
+@pytest.mark.parametrize("mode", ["fast_block_phase", "quasi_static"])
+def test_frame_loop_channel_matches_compositional_transmit_path(mode):
+    # The frame loop builds its channel with channel_trajectory and passes
+    # each block through propagate_blocks; without noise or distortion,
+    # block k receives path_gain * e^{j phi_k} * (mu x + nu conj x) e^{j theta_k}.
+    rng = np.random.default_rng(14)
+    frames, blocks, path_gain = 3, 6, 0.8
+    phases, steps = _trajectory_draws(rng, frames, blocks, mode, 5.0)
+    h = channel_trajectory(phases, steps, mode, TX, path_gain)
+    x = rng.normal(size=(frames, 16)) + 1j * rng.normal(size=(frames, 16))
+    noise = unit_noise(rng.standard_normal((frames, 16, 2)))
+    theta = phases[:, 1].copy()
+    for k in range(blocks + 1):
+        if k:
+            theta += steps[:, k - 1]
+        phi = phases[:, 1 + k] if mode == "fast_block_phase" and k else phases[:, 0]
+        y = propagate_blocks(x, h[:, k], NOISELESS, noise)
+        for f in range(frames):
+            expected = path_gain * np.exp(1j * phi[f]) * apply_tx_impairments(x[f], TX, theta[f])
+            assert np.max(np.abs(y[f] - expected)) < 1e-12

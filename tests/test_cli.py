@@ -120,6 +120,10 @@ def test_gamma_sweep_subcommand(tmp_path):
         (["ber", "--config", "{tmp}/path_gain.json"], "path_gain"),
         (["ber", "--config", "{tmp}/imbalance.json"], "path_gain and amplitude_imbalance"),
         (["ber", "--config", "{tmp}/gamma_high.json"], "gamma"),
+        (
+            ["ber", "--config", "{tmp}/list.json", "--snr-db", "10", "--trials", "1"],
+            "config must be a mapping",
+        ),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):
@@ -134,6 +138,7 @@ def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys
         "path_gain": {"path_gain": 1e200},
         "imbalance": {"amplitude_imbalance": 1e200},
         "gamma_high": {"gamma": 1e300},
+        "list": [1, 2],
     }
     for name, config in bad_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

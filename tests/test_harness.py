@@ -160,6 +160,27 @@ def test_config_from_dict_reports_bad_values_as_value_errors():
     SystemConfig(scheme="classical_ls", geometry=BlockGeometry(init_preamble_length=1))
 
 
+@pytest.mark.parametrize("data", [[1, 2], "trials", 5])
+def test_config_from_dict_rejects_a_non_mapping(data):
+    with pytest.raises(ValueError, match="config must be a mapping"):
+        SystemConfig.from_dict(data)
+
+
+def test_config_from_dict_rejects_a_split_beyond_int64_ranks():
+    geometry = {"block_length": 134, "subblocks": 2, "pilots_per_subblock": 33}
+    with pytest.raises(ValueError, match=r"C\(67, 33\)"):
+        SystemConfig.from_dict({"geometry": geometry})
+
+
+@pytest.mark.parametrize("subblock_length,pilots", [(32, 16), (66, 33), (68, 60)])
+def test_wide_subblock_layouts_run_to_completion(subblock_length, pilots):
+    # Up to C(66, 33) ~ 7e18 position sets per subblock; at (68, 60) the
+    # binomials C(67, i) for i near 33 leave int64.
+    geometry = BlockGeometry(2 * subblock_length, 2, pilots, blocks_per_frame=3)
+    point = run_experiment(quiet_config(geometry=geometry, trials=2)).points[0]
+    assert (point.frames, point.blocks, point.subblocks) == (2, 6, 12)
+
+
 def test_config_stores_numpy_integer_counts_as_int():
     cfg = quiet_config(
         trials=np.int64(2), geometry=BlockGeometry(blocks_per_frame=np.int64(20))

@@ -91,6 +91,16 @@ def test_geometry_properties():
     assert g.symbol_bits_per_block(4) == 112
 
 
+@pytest.mark.parametrize(
+    "length,pilots", [(67, 33), (1000, 500), (10**9, 5 * 10**8)]
+)
+def test_geometry_rejects_splits_whose_ranks_leave_int64(length, pilots):
+    # 67 is the shortest subblock with a split past 2^63.  C(10^9, 5 * 10^8)
+    # has about 10^9 bits, so that split must fail without forming it.
+    with pytest.raises(ValueError, match=rf"C\({length}, {pilots}\).*2\^63"):
+        BlockGeometry(block_length=2 * length, subblocks=2, pilots_per_subblock=pilots)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         BlockGeometry(block_length=64, subblocks=7)
@@ -211,10 +221,52 @@ def test_stacked_assembly_rows_match_one_block_assembly(geometry):
         assert np.array_equal(pattern[f], one_pattern[0])
 
 
+def _lexicographic_sets(n, k):
+    """Every set of k positions out of 1..n, in lexicographic order, and the
+    sets the index words select: the first 2^bits, but for (4, 2) its fixed
+    four-row table."""
+    sets = np.array(list(itertools.combinations(range(1, n + 1), k)))
+    if (n, k) == (4, 2):
+        return sets, np.array([(1, 2), (2, 3), (3, 4), (1, 4)])
+    return sets, sets[: 1 << index_bits_per_subblock(n, k)]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_index_words_select_lexicographic_position_sets(n):
+    data = build_data_alphabet(4)
+    pilots = build_pilot_alphabet(4, 4.0).points
+    for k in range(1, n):
+        geometry = BlockGeometry(n, 1, k, preamble_length=1)
+        bits = geometry.index_bits_per_subblock
+        _, selected = _lexicographic_sets(n, k)
+        words = np.arange(1 << bits)
+        index_bits = (words[:, None] >> np.arange(bits - 1, -1, -1)) & 1
+        symbol_bits = np.zeros((words.size, geometry.symbol_bits_per_block(4)))
+        values = np.broadcast_to(pilots[:1], (words.size, k))
+        _, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
+        assert np.array_equal(pattern[:, 0] + 1, selected), (n, k)
+        assert select_indices(index_bits[-1], n, k) == tuple(selected[-1])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_demap_patterns_flags_exactly_the_sets_without_a_word(n):
+    for k in range(1, n):
+        sets, selected = _lexicographic_sets(n, k)
+        word_of = {tuple(subset): w for w, subset in enumerate(selected.tolist())}
+        expected = np.array([word_of.get(tuple(subset), -1) for subset in sets.tolist()])
+        bits, unmapped = demap_patterns(sets[None] - 1, n, k)
+        width = index_bits_per_subblock(n, k)
+        words = bits.reshape(len(sets), width) @ (1 << np.arange(width - 1, -1, -1))
+        assert np.array_equal(unmapped[0], expected < 0), (n, k)
+        # a mapped set reads back the word that selects it; the rest read 0
+        assert np.array_equal(words, np.maximum(expected, 0)), (n, k)
+
+
 @st.composite
 def geometries(draw):
-    """Every subblock split BlockGeometry accepts, subblocks up to 16 long."""
-    subblock_length = draw(st.integers(2, 16))
+    """Every subblock split BlockGeometry accepts, subblocks up to 66 long:
+    every split of up to 66 positions fits the int64 ranks."""
+    subblock_length = draw(st.integers(2, 66))
     pilots = draw(st.integers(1, subblock_length - 1))
     subblocks = draw(st.integers(1, 4))
     return BlockGeometry(subblock_length * subblocks, subblocks, pilots, preamble_length=1)
