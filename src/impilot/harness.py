@@ -104,6 +104,16 @@ _FINITE_FIELDS = (
 # squares, stay normal doubles, so no sum or fit in a run can overflow.
 _LINEAR_RANGE = (1e-50, 1e50)
 
+# Bounds on what a batch may allocate, so that a config too large for memory
+# fails when it is built and not mid-run.  A batch draws every sample of its
+# frames at frame start.  Each block step compares every sample of its stack
+# with every point of both alphabets and, in the rescue of proposed_turbo,
+# with up to 3 * (pilots_per_block + 1) candidate fits.  Configs near either
+# cap peak at about half a GB.
+_MAX_ALPHABET_ORDER = 2**10
+_MAX_BATCH_SAMPLES = 2**24
+_MAX_STEP_DISTANCES = 2**24
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -172,6 +182,8 @@ class SystemConfig:
             order = getattr(self, name)
             if order < 2 or order & (order - 1):
                 raise ValueError(f"{name} must be a power of two >= 2, got {order}")
+            if order > _MAX_ALPHABET_ORDER:
+                raise ValueError(f"{name} must be <= {_MAX_ALPHABET_ORDER}, got {order}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.path_gain <= 0:
@@ -190,8 +202,32 @@ class SystemConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        self._check_size()
         self._check_runnable()
         self._check_linear_range()
+
+    def _check_size(self) -> None:
+        """Reject a config whose batch passes ``_MAX_BATCH_SAMPLES`` samples
+        or whose block step passes ``_MAX_STEP_DISTANCES`` distances."""
+        g = self.geometry
+        frames = min(self.batch_frames, self.trials)
+        samples = frames * g.frame_length
+        if samples > _MAX_BATCH_SAMPLES:
+            raise ValueError(
+                "min(batch_frames, trials) * blocks_per_frame * block_length is "
+                f"{samples} samples per batch, over the cap of {_MAX_BATCH_SAMPLES}"
+            )
+        terms = "data_order + pilot_order"
+        per_sample = self.data_order + self.pilot_order
+        if self.scheme == "proposed_turbo":
+            terms += " + 3 * (pilots_per_block + 1)"
+            per_sample += 3 * (g.pilots_per_block + 1)
+        distances = frames * g.block_length * per_sample
+        if distances > _MAX_STEP_DISTANCES:
+            raise ValueError(
+                f"min(batch_frames, trials) * block_length * ({terms}) is {distances} "
+                f"distances per block step, over the cap of {_MAX_STEP_DISTANCES}"
+            )
 
     def _check_runnable(self) -> None:
         """Reject the scheme/geometry/alphabet combinations that would hang
@@ -321,11 +357,7 @@ class SystemConfig:
         data = build_data_alphabet(self.data_order)
         pilot = build_pilot_alphabet(self.pilot_order, self.gamma, data)
         if self.normalize_block_power:
-            g = self.geometry
-            power = (
-                g.pilots_per_block * pilot.average_power
-                + g.data_per_block * data.average_power
-            ) / g.block_length
+            power = self._block_power(data, pilot)
             data = scaled(data, 1.0 / power)
             pilot = scaled(pilot, 1.0 / power)
         return data, pilot
@@ -339,7 +371,10 @@ class SystemConfig:
     def transmit_power(self) -> float:
         if self.classical:
             return 1.0
-        data, pilot = self.alphabets()
+        return self._block_power(*self.alphabets())
+
+    def _block_power(self, data: Constellation, pilot: Constellation) -> float:
+        """Average power of a block carrying these alphabets."""
         g = self.geometry
         return (
             g.pilots_per_block * pilot.average_power
@@ -480,9 +515,11 @@ def _simulate_frames(
     scheme = config.scheme
     classical = config.classical
     turbo = scheme == "proposed_turbo"
+    frames = len(rngs)
     if classical:
         data_const = build_data_alphabet(config.data_order)
-        preamble = _unit_preamble(g.preamble_length)
+        pilots = _unit_preamble(g.preamble_length)
+        known = np.tile(np.arange(g.preamble_length), (frames, 1))
         n_index_bits = 0
         n_data = g.block_length - g.preamble_length
     else:
@@ -495,7 +532,6 @@ def _simulate_frames(
         prior = _mmse_prior(config)
         dnp = config.distortion_level * config.power_gain + rx.noise_variance
 
-    frames = len(rngs)
     rows = np.arange(frames)
     blocks = g.blocks_per_frame
     bits_per_sub = g.index_bits_per_subblock
@@ -532,7 +568,7 @@ def _simulate_frames(
         symbol_bits = bits[:, k, n_index_bits:]
         if classical:
             data = map_bits_array(symbol_bits, data_const).reshape(frames, n_data)
-            symbols = np.concatenate([np.tile(preamble, (frames, 1)), data], axis=1)
+            symbols = np.concatenate([np.tile(pilots, (frames, 1)), data], axis=1)
         else:
             pilots = all_pilots[:, k]
             symbols, true_pattern = assemble_blocks(
@@ -567,21 +603,18 @@ def _simulate_frames(
             per_sub[result.unmapped] = bits_per_sub
             index_bit_errors += per_sub.sum(axis=1)
             pattern_errors += np.any(result.pattern != true_pattern, axis=2).sum(axis=1)
-        elif scheme == "lower_bound_perfect_pattern":
-            positions = (true_pattern + offsets).reshape(frames, -1)
-            h_hat = ls_estimate(pilots, np.take_along_axis(y, positions, axis=1))
-            is_data = np.ones((frames, g.block_length), dtype=bool)
+        else:
+            # Known pilot positions: the preamble, or the true pattern.
+            positions = known if classical else (true_pattern + offsets).reshape(frames, -1)
+            received = np.take_along_axis(y, positions, axis=1)
+            if scheme == "classical_mmse":
+                h_hat = mmse_estimate(pilots, received, dnp, prior)
+            else:
+                h_hat = ls_estimate(pilots, received)
+            is_data = np.ones(y.shape, dtype=bool)
             np.put_along_axis(is_data, positions, False, axis=1)
             data = y[is_data].reshape(frames, n_data)
-            _, rx_symbol_bits = detect_symbols(data, h_hat, data_const)
-        else:
-            received = y[:, : g.preamble_length]
-            if scheme == "classical_mmse":
-                h_hat = mmse_estimate(preamble, received, dnp, prior)
-            else:
-                h_hat = ls_estimate(preamble, received)
-            data = y[:, g.preamble_length :]
-            _, rx_symbol_bits = detect_symbols(data, h_hat, data_const)
+            rx_symbol_bits = detect_symbols(data, h_hat, data_const)
 
         symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
         mse_num += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)

@@ -76,48 +76,43 @@ def solve_two_path_ls(pilots, received):
     return estimates[0] if solvable[0] else None
 
 
-def _sample_rows(pilots, received):
-    """Pilots and received samples as ``(rows, n)`` arrays, and whether the
-    samples came stacked; ``pilots`` may be one sequence shared by every row."""
+def _stacked(received) -> np.ndarray:
+    """Received samples as a complex ``(rows, n)`` array."""
     received = np.asarray(received, dtype=complex)
-    stacked = received.ndim == 2
-    received = received.reshape(received.shape[0] if stacked else 1, -1)
-    pilots = np.asarray(pilots, dtype=complex)
-    if pilots.ndim != 2:
-        pilots = pilots.reshape(1, -1)
-    if pilots.shape[1] != received.shape[1]:
-        raise ValueError("pilots and received samples must have the same length")
-    return np.broadcast_to(pilots, received.shape), received, stacked
+    if received.ndim != 2:
+        raise ValueError(f"received samples must be (rows, n), got shape {received.shape}")
+    return received
 
 
 def ls_estimate(pilots, received) -> np.ndarray:
-    """Least-squares two-entry channel estimate from known pilots.
+    """Least-squares two-entry channel estimates from known pilots.
 
-    Requires at least two pilots whose phases are not all equal modulo pi;
+    ``received`` is ``(rows, n)``; ``pilots`` is one ``(n,)`` sequence
+    shared by every row or ``(rows, n)``.  Returns ``(rows, 2)``.  Each row
+    needs at least two pilots whose phases are not all equal modulo pi;
     otherwise the pilot and its conjugate are collinear and the fit is
-    underdetermined.  Received samples stacked as ``(rows, n)``, with the
-    pilots as one shared sequence or as ``(rows, n)``, give ``(rows, 2)``
-    estimates, each with the bits of a one-row call.
+    underdetermined.
     """
-    pilots, received, stacked = _sample_rows(pilots, received)
-    if pilots.shape[1] < 2:
+    received = _stacked(received)
+    if received.shape[1] < 2:
         raise ValueError("at least two pilot symbols are required")
+    pilots = np.asarray(pilots, dtype=complex)
     estimates, solvable = two_path_ls(*_normal_terms(pilots, received))
     if not solvable.all():
         raise DegeneratePilotSetError(
             "degenerate pilot set: pilot column is collinear with its conjugate"
         )
-    return estimates if stacked else estimates[0]
+    return estimates
 
 
 def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> np.ndarray:
-    """Linear MMSE estimate (P^H P + v C^-1)^-1 P^H y with prior covariance C.
+    """Linear MMSE estimates (P^H P + v C^-1)^-1 P^H y with prior covariance C.
 
-    Reduces to LS as the noise variance goes to zero and shrinks to the zero
-    vector as it grows.  Received samples stacked as ``(rows, n)``, all sent
-    with the same pilot sequence, give ``(rows, 2)`` estimates, each with
-    the bits of a one-row call: P^H y is formed row by row, and the one
-    left-hand matrix is solved against every row.
+    ``received`` is ``(rows, n)``, all sent with the one ``(n,)`` pilot
+    sequence; returns ``(rows, 2)``.  Reduces to LS as the noise variance
+    goes to zero and shrinks to the zero vector as it grows.  P^H y is
+    formed per row, and the one left-hand matrix is solved against every
+    row.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
@@ -127,41 +122,30 @@ def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> 
     eigvals = np.linalg.eigvalsh(prior)
     if eigvals.min() <= 0:
         raise ValueError("prior covariance must be positive definite")
-    pilots, received, stacked = _sample_rows(np.ravel(pilots), received)
-    P = pilot_matrix(pilots[0])
+    P = pilot_matrix(pilots)
     PH = P.conj().T
     lhs = PH @ P + noise_variance * np.linalg.inv(prior)
-    rhs = np.array([PH @ row for row in received])
-    estimates = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-    return estimates if stacked else estimates[0]
+    rhs = np.einsum("ij,fj->fi", PH, _stacked(received))
+    return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
 
 
-def detect_symbols(received, channel_estimate, constellation: Constellation):
+def detect_symbols(received, channel_estimate, constellation: Constellation) -> np.ndarray:
     """Per-symbol ML detection: argmin over the alphabet of
     |y - (c*h_direct + conj(c)*h_image)|^2.
 
-    The decision does not depend on the noise power; ties go to the lowest
-    constellation index.  Returns (symbols, bits).  A length-2
-    estimate applies to all of ``received``; estimates stacked as
-    ``(rows, 2)`` apply row by row to ``(rows, n)`` samples, and the bits
-    then come back as ``(rows, n * bits_per_symbol)``.
+    ``received`` is ``(rows, n)`` and ``channel_estimate`` ``(rows, 2)``,
+    one estimate per row.  Returns the bits, ``(rows, n *
+    bits_per_symbol)``.  The decision does not depend on the noise power;
+    ties go to the lowest constellation index.
     """
+    received = _stacked(received)
     h = np.asarray(channel_estimate, dtype=complex)
-    received = np.asarray(received, dtype=complex)
-    if h.ndim == 2 and h.shape[1] == 2 and received.ndim == 2:
-        if received.shape[0] != h.shape[0]:
-            raise ValueError("need one channel estimate per row of samples")
-    elif h.size == 2:
-        h = h.reshape(2)
-        received = received.reshape(-1)
-    else:
-        raise ValueError("channel estimate must be a non-zero length-2 vector")
+    if h.shape != (received.shape[0], 2):
+        raise ValueError("need one length-2 channel estimate per row of samples")
     if not np.all(np.any(h, axis=-1)):
         raise ValueError("channel estimate must be a non-zero length-2 vector")
     points = constellation.points
-    model = points * h[..., :1] + np.conj(points) * h[..., 1:]
-    d2 = np.abs(received[..., :, None] - model[..., None, :]) ** 2
+    model = points * h[:, :1] + np.conj(points) * h[:, 1:]
+    d2 = np.abs(received[:, :, None] - model[:, None, :]) ** 2
     idx = np.argmin(d2, axis=-1)
-    symbols = points[idx]
-    bits = constellation.label_bits[idx].reshape(*idx.shape[:-1], -1)
-    return symbols, bits
+    return constellation.label_bits[idx].reshape(received.shape[0], -1)

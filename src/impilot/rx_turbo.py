@@ -93,8 +93,7 @@ def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     received-power prediction.  Estimates stacked on leading axes give one
     value each."""
     power = np.sum(np.abs(np.asarray(channel_estimate)) ** 2, axis=-1) * transmit_power
-    dnp = _dnp(rx, power)
-    return float(dnp) if dnp.ndim == 0 else dnp
+    return _dnp(rx, power)
 
 
 def _neg_lse(d2: np.ndarray, dnp) -> np.ndarray:
@@ -158,10 +157,7 @@ def llr_values(
     d2 = np.abs(y - (h[..., 0] * points + h[..., 1] * np.conj(points))) ** 2
     dnp_arr = np.broadcast_to(dnp_arr, shape)
     n_pilot = pilot_alphabet.order
-    eta = prior + _neg_lse(d2[:n_pilot], dnp_arr) - _neg_lse(d2[n_pilot:], dnp_arr)
-    if eta.ndim == 0:
-        return float(eta)
-    return eta
+    return prior + _neg_lse(d2[:n_pilot], dnp_arr) - _neg_lse(d2[n_pilot:], dnp_arr)
 
 
 def _top_positions(eta: np.ndarray, pilots_per_subblock: int) -> np.ndarray:
@@ -503,9 +499,7 @@ def turbo_receive_frames(
 
     data = np.ones((frames, geometry.block_length), dtype=bool)
     np.put_along_axis(data, (pattern + offsets).reshape(frames, -1), False, axis=-1)
-    _, symbol_bits = detect_symbols(
-        y_flat[data].reshape(frames, -1), h_final, data_alphabet
-    )
+    symbol_bits = detect_symbols(y_flat[data].reshape(frames, -1), h_final, data_alphabet)
     index_bits, unmapped = demap_patterns(pattern, sub_len, per_sub)
 
     return TurboFrames(

@@ -124,6 +124,9 @@ def test_gamma_sweep_subcommand(tmp_path):
             ["ber", "--config", "{tmp}/list.json", "--snr-db", "10", "--trials", "1"],
             "config must be a mapping",
         ),
+        (["ber", "--config", "{tmp}/huge_block.json"], "min(batch_frames, trials)"),
+        (["ber", "--config", "{tmp}/huge_order.json", "--scheme", "classical_ls"], "data_order"),
+        (["ber", "--config", "{tmp}/huge_pilot_order.json"], "pilot_order"),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):
@@ -139,6 +142,10 @@ def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys
         "imbalance": {"amplitude_imbalance": 1e200},
         "gamma_high": {"gamma": 1e300},
         "list": [1, 2],
+        # sizes that would not fit in memory
+        "huge_block": {"geometry": {"block_length": 2**40, "subblocks": 4, "blocks_per_frame": 1}},
+        "huge_order": {"data_order": 2**40},
+        "huge_pilot_order": {"pilot_order": 2**40},
     }
     for name, config in bad_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

@@ -289,7 +289,7 @@ def _check_demap_round_trip(geometry, rows, seed):
     data_mask = np.ones(symbols.shape, dtype=bool)
     offsets = np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
     np.put_along_axis(data_mask, (pattern + offsets).reshape(rows, -1), False, axis=1)
-    _, detected = detect_symbols(
+    detected = detect_symbols(
         symbols[data_mask].reshape(rows, -1), np.tile([1.0, 0.0], (rows, 1)), data
     )
     assert np.array_equal(detected, symbol_bits)

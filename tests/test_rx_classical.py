@@ -29,30 +29,31 @@ def test_pilot_matrix_pairs_conjugates():
 def test_ls_exact_on_invertible_preamble():
     h = np.array([0.3 - 0.5j, 0.1 + 0.02j])
     y = PREAMBLE * h[0] + np.conj(PREAMBLE) * h[1]
-    est = ls_estimate(PREAMBLE, y)
+    est = ls_estimate(PREAMBLE, y[None])
+    assert est.shape == (1, 2)
     assert np.max(np.abs(est - h)) < 1e-10
 
 
 def test_ls_degenerate_set_rejected():
     with pytest.raises(DegeneratePilotSetError):
-        ls_estimate([1.0, 1.0], [0.1, 0.2])
+        ls_estimate([1.0, 1.0], [[0.1, 0.2]])
     # all phases equal modulo pi is also collinear
     with pytest.raises(DegeneratePilotSetError):
-        ls_estimate([2.0, -2.0, 2.0], [0.1, 0.2, 0.3])
+        ls_estimate([2.0, -2.0, 2.0], [[0.1, 0.2, 0.3]])
     # and so are all-zero pilots, without a division warning
     with pytest.raises(DegeneratePilotSetError):
-        ls_estimate([0.0, 0.0], [0.1, 0.2])
+        ls_estimate([0.0, 0.0], [[0.1, 0.2]])
 
 
 def test_ls_requires_two_pilots():
     with pytest.raises(ValueError):
-        ls_estimate([1.0], [0.5])
+        ls_estimate([1.0], [[0.5]])
 
 
 def test_ls_scale_equivariance():
     rng = np.random.default_rng(0)
     pilots = rng.normal(size=6) + 1j * rng.normal(size=6)
-    y = rng.normal(size=6) + 1j * rng.normal(size=6)
+    y = (rng.normal(size=6) + 1j * rng.normal(size=6))[None]
     for a in (2.0, -0.5 + 1j):
         assert np.allclose(ls_estimate(pilots, a * y), a * ls_estimate(pilots, y))
 
@@ -78,7 +79,7 @@ def test_mmse_limits():
     rng = np.random.default_rng(2)
     pilots = np.array([1.0, 1.0j, -1.0, 2.0j])
     h = np.array([0.9 + 0.1j, 0.15 - 0.05j])
-    y = pilots * h[0] + np.conj(pilots) * h[1]
+    y = (pilots * h[0] + np.conj(pilots) * h[1])[None]
     prior = np.eye(2)
     assert np.max(np.abs(mmse_estimate(pilots, y, 0.0, prior) - ls_estimate(pilots, y))) < 1e-10
     assert np.linalg.norm(mmse_estimate(pilots, y, 1e12, prior)) < 1e-6
@@ -97,16 +98,17 @@ def test_mmse_beats_ls_under_its_own_model():
     chol = np.linalg.cholesky(prior)
     v = 0.5
     trials = 10_000
-    mse_ls = mse_mmse = 0.0
-    for _ in range(trials):
-        h = chol @ (
+    h = np.empty((trials, 2), dtype=complex)
+    y = np.empty((trials, 4), dtype=complex)
+    for t in range(trials):
+        h[t] = chol @ (
             (rng.normal(size=2) + 1j * rng.normal(size=2)) / math.sqrt(2)
         )
-        y = P @ h + math.sqrt(v / 2) * (
+        y[t] = P @ h[t] + math.sqrt(v / 2) * (
             rng.normal(size=4) + 1j * rng.normal(size=4)
         )
-        mse_ls += float(np.sum(np.abs(ls_estimate(pilots, y) - h) ** 2))
-        mse_mmse += float(np.sum(np.abs(mmse_estimate(pilots, y, v, prior) - h) ** 2))
+    mse_ls = np.sum(np.abs(ls_estimate(pilots, y) - h) ** 2)
+    mse_mmse = np.sum(np.abs(mmse_estimate(pilots, y, v, prior) - h) ** 2)
     assert mse_mmse < mse_ls
 
 
@@ -117,22 +119,22 @@ def test_detect_symbols_noiseless():
     x = map_bits_array(bits, const)
     h = np.array([0.8 * np.exp(1j * 0.7), 0.12 - 0.3j])
     y = x * h[0] + np.conj(x) * h[1]
-    _, rx_bits = detect_symbols(y, h, const)
-    assert np.array_equal(rx_bits, bits.astype(np.uint8))
+    rx_bits = detect_symbols(y[None], h[None], const)
+    assert np.array_equal(rx_bits[0], bits.astype(np.uint8))
 
 
 def test_detect_symbols_rotated_channel():
     const = build_data_alphabet(4)
     h = np.array([np.exp(1j * np.pi / 4) * 0.9, 0.0])
     y = const.points * h[0]
-    symbols, _ = detect_symbols(y, h, const)
-    assert np.allclose(symbols, const.points)
+    bits = detect_symbols(y[None], h[None], const)
+    assert np.array_equal(bits[0], const.label_bits.reshape(-1))
 
 
 def test_detect_symbols_rejects_zero_channel():
     const = build_data_alphabet(4)
     with pytest.raises(ValueError):
-        detect_symbols(np.ones(4), np.zeros(2), const)
+        detect_symbols(np.ones((1, 4)), np.zeros((1, 2)), const)
 
 
 def test_qpsk_awgn_ber_matches_q_function():
@@ -147,8 +149,8 @@ def test_qpsk_awgn_ber_matches_q_function():
     y = x + math.sqrt(noise_var / 2) * (
         rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
     )
-    _, rx_bits = detect_symbols(y, np.array([1.0, 0.0]), const)
-    ber = np.count_nonzero(rx_bits != bits) / bits.size
+    rx_bits = detect_symbols(y[None], np.array([[1.0, 0.0]]), const)
+    ber = np.count_nonzero(rx_bits[0] != bits) / bits.size
     expected = 0.5 * math.erfc(math.sqrt(ebn0))
     assert abs(ber / expected - 1.0) < 0.05
 
@@ -242,16 +244,16 @@ def test_detect_symbols_stacked_rows():
     const = build_data_alphabet(4)
     y = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
     h = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-    symbols, bits = detect_symbols(y, h, const)
+    bits = detect_symbols(y, h, const)
     assert bits.shape == (5, 64)
     for f in range(5):
-        alone_symbols, alone_bits = detect_symbols(y[f], h[f], const)
-        assert np.array_equal(symbols[f], alone_symbols)
-        assert np.array_equal(bits[f], alone_bits)
+        assert np.array_equal(bits[f], detect_symbols(y[f : f + 1], h[f : f + 1], const)[0])
     with pytest.raises(ValueError):
         detect_symbols(y, h[:4], const)
     with pytest.raises(ValueError):
         detect_symbols(y, np.zeros((5, 2)), const)
+    with pytest.raises(ValueError):
+        detect_symbols(y[0], h[0], const)
 
 
 @pytest.mark.parametrize("length", [2, 9])
@@ -271,11 +273,12 @@ def test_stacked_estimates_match_one_row_calls_bit_for_bit(length):
     P = pilot_matrix(pilots)
     lhs = P.conj().T @ P + 0.3 * np.linalg.inv(prior)
     for f in range(6):
-        assert shared[f].tobytes() == ls_estimate(pilots, received[f]).tobytes()
+        row = received[f : f + 1]
+        assert shared[f].tobytes() == ls_estimate(pilots, row)[0].tobytes()
         assert shared[f].tobytes() == solve_two_path_ls(pilots, received[f]).tobytes()
-        assert per_row[f].tobytes() == ls_estimate(row_pilots[f], received[f]).tobytes()
-        alone = mmse_estimate(pilots, received[f], 0.3, prior)
-        assert mmse[f].tobytes() == alone.tobytes()
+        alone = ls_estimate(row_pilots[f : f + 1], row)[0]
+        assert per_row[f].tobytes() == alone.tobytes()
+        assert mmse[f].tobytes() == mmse_estimate(pilots, row, 0.3, prior)[0].tobytes()
         # the closed form, one row at a time
         oracle = np.linalg.solve(lhs, P.conj().T @ received[f])
         assert mmse[f].tobytes() == oracle.tobytes()
@@ -289,3 +292,5 @@ def test_stacked_ls_rejects_a_degenerate_row():
         ls_estimate(pilots, received)
     with pytest.raises(ValueError):
         ls_estimate(pilots[:, :3], received)
+    with pytest.raises(ValueError):
+        ls_estimate(pilots[0], received[0])

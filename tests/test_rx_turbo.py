@@ -112,23 +112,23 @@ def test_llr_matches_naive_posterior_ratio():
             [rng.normal() + 1j * rng.normal(), 0.2 * (rng.normal() + 1j * rng.normal())]
         ) / 2.0
         dnp = rng.uniform(0.5, 5.0)
-        fast = llr_values(y, channel, DATA, PILOT, 8, 1, dnp)
-        assert abs(fast - naive_llr(y, channel, dnp)) < 1e-9
+        fast = llr_values([y], channel, DATA, PILOT, 8, 1, dnp)
+        assert abs(fast[0] - naive_llr(y, channel, dnp)) < 1e-9
 
 
 def test_llr_prior_term_alone():
     # equal-radius alphabets and y at the origin make both likelihood sums
     # cancel, leaving only the prior log ratio of 1/7
     pilot_unit = build_pilot_alphabet(4, 1.0)
-    eta = llr_values(0.0, np.array([1.0, 0.0]), DATA, pilot_unit, 8, 1, 1.0)
-    assert eta == pytest.approx(math.log(1.0 / 7.0), abs=1e-12)
+    eta = llr_values([0.0], np.array([1.0, 0.0]), DATA, pilot_unit, 8, 1, 1.0)
+    assert eta[0] == pytest.approx(math.log(1.0 / 7.0), abs=1e-12)
 
 
 def test_llr_diverges_on_pilot_point_as_noise_vanishes():
     y = PILOT.points[0]
     channel = np.array([1.0, 0.0])
     values = [
-        llr_values(y, channel, DATA, PILOT, 8, 1, dnp)
+        llr_values([y], channel, DATA, PILOT, 8, 1, dnp)[0]
         for dnp in (1e-1, 1e-2, 1e-3, 1e-4)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -137,9 +137,9 @@ def test_llr_diverges_on_pilot_point_as_noise_vanishes():
 
 def test_llr_validation():
     with pytest.raises(ValueError):
-        llr_values(0.0, np.array([1.0, 0.0]), DATA, PILOT, 8, 1, 0.0)
+        llr_values([0.0], np.array([1.0, 0.0]), DATA, PILOT, 8, 1, 0.0)
     with pytest.raises(ValueError):
-        llr_values(0.0, np.array([1.0, 0.0]), DATA, PILOT, 8, 8, 1.0)
+        llr_values([0.0], np.array([1.0, 0.0]), DATA, PILOT, 8, 8, 1.0)
 
 
 def test_coarse_detect_noiseless_perfect_prior():
@@ -166,8 +166,8 @@ def test_pilot_classification_flips_at_boundary():
     # balance-angle root (about 0.5364 rad for a power ratio of 4)
     for delta, expect_pilot in ((0.50, True), (0.55, False)):
         channel = np.array([np.exp(-1j * delta), 0.0])
-        eta = llr_values(PILOT.points[0], channel, DATA, PILOT, 8, 1, 1e-6)
-        assert (eta > 0) == expect_pilot
+        eta = llr_values(PILOT.points[:1], channel, DATA, PILOT, 8, 1, 1e-6)
+        assert (eta[0] > 0) == expect_pilot
 
 
 def test_extrinsic_ls_exact_noiseless():
@@ -353,10 +353,10 @@ def test_converged_pattern_is_fixed_point():
 
 def test_prior_dnp_formula():
     rx = RxImpairments(distortion_level=0.5, noise_variance=0.25)
-    estimate = np.array([0.6 + 0.3j, -0.2j])
+    estimate = np.array([[0.6 + 0.3j, -0.2j]])
     expected = 0.5 * float(np.sum(np.abs(estimate) ** 2)) * 1.375 + 0.25
-    assert prior_dnp(estimate, rx, 1.375) == pytest.approx(expected, rel=1e-12)
-    assert prior_dnp(np.zeros(2), RxImpairments(0.0, 0.0), 1.0) > 0
+    assert prior_dnp(estimate, rx, 1.375)[0] == pytest.approx(expected, rel=1e-12)
+    assert prior_dnp(np.zeros((1, 2)), RxImpairments(0.0, 0.0), 1.0)[0] > 0
 
 
 def test_unmapped_pattern_scores_as_flagged():
