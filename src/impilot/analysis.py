@@ -28,7 +28,6 @@ __all__ = [
 
 QUARTER_PI = math.pi / 4.0
 _RESIDUAL_TOL = 1e-10
-_MAX_BISECTIONS = 200
 
 
 class NoBoundaryError(ValueError):
@@ -51,30 +50,23 @@ def wrong_region_boundary(gamma: float) -> float:
     """Rotation angle on (0, pi/4] below which a pilot is still classified
     correctly at high signal-to-distortion-and-noise ratio.
 
-    Found by bisection; raises :class:`NoBoundaryError` when the residual
-    does not change sign on the interval (small or very large power ratios).
+    The residual is A cos(t) + B sin(t) - (1 - gamma) with
+    A = sqrt(2 gamma) - 2 gamma and B = sqrt(2 gamma); it is negative at 0
+    and rises on [0, pi/4], so its root there is
+    atan2(B, A) - acos((1 - gamma) / hypot(A, B)).  Raises
+    :class:`NoBoundaryError` when the residual is still negative at pi/4
+    (small or very large power ratios).
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    lo, hi = 1e-6, QUARTER_PI
-    f_lo = boundary_residual(gamma, lo)
-    f_hi = boundary_residual(gamma, hi)
-    if abs(f_hi) <= _RESIDUAL_TOL:
-        return hi
-    if f_lo * f_hi > 0:
+    if boundary_residual(gamma, QUARTER_PI) < -_RESIDUAL_TOL:
         raise NoBoundaryError(
             f"no boundary in interval (0, pi/4] for gamma={gamma:g}"
         )
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = boundary_residual(gamma, mid)
-        if abs(f_mid) < _RESIDUAL_TOL:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    b = math.sqrt(2.0 * gamma)
+    a = b - 2.0 * gamma
+    root = math.atan2(b, a) - math.acos(min(1.0, (1.0 - gamma) / math.hypot(a, b)))
+    return min(root, QUARTER_PI)
 
 
 def wrong_region_width(gamma: float) -> float:

@@ -141,6 +141,8 @@ class SystemConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.geometry, BlockGeometry):
+            raise ValueError(f"geometry must be a BlockGeometry, got {self.geometry!r}")
         try:
             if isinstance(self.ebn0_db, (str, bytes)):
                 raise TypeError
@@ -303,23 +305,18 @@ class SystemConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config must be a mapping, got {data!r}")
         data = dict(data)
-        geo_data = data.pop("geometry", None)
+        geo_data = data.pop("geometry", {})
         known = {f.name for f in fields(cls)} - {"geometry"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if geo_data is not None:
-            if not isinstance(geo_data, dict):
-                raise ValueError(f"geometry must be a mapping, got {geo_data!r}")
-            geo_known = {f.name for f in fields(BlockGeometry)}
-            geo_unknown = set(geo_data) - geo_known
-            if geo_unknown:
-                raise ValueError(f"unknown geometry keys: {sorted(geo_unknown)}")
+        if not isinstance(geo_data, dict):
+            raise ValueError(f"geometry must be a mapping, got {geo_data!r}")
+        geo_unknown = set(geo_data) - {f.name for f in fields(BlockGeometry)}
+        if geo_unknown:
+            raise ValueError(f"unknown geometry keys: {sorted(geo_unknown)}")
         try:
-            if geo_data is not None:
-                kwargs["geometry"] = BlockGeometry(**geo_data)
-            return cls(**kwargs)
+            return cls(geometry=BlockGeometry(**geo_data), **data)
         except TypeError as err:
             # A value of the wrong type (say a string for a count) fails a
             # comparison in validation; report it as a bad config value.
@@ -753,18 +750,13 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for point_index, ebn0_db in enumerate(config.ebn0_db):
+            runner = partial(_simulate_frames, config, ebn0_db, point_index)
             tallies: list = []
-            frames_done = 0
-            while frames_done < config.trials:
-                batch = min(config.batch_frames, config.trials - frames_done)
-                runner = partial(_simulate_frames, config, ebn0_db, point_index)
-                indices = range(frames_done, frames_done + batch)
-                if pool is not None:
-                    for chunk in pool.map(runner, _chunks(indices, workers)):
-                        tallies.extend(chunk)
-                else:
-                    tallies.extend(runner(indices))
-                frames_done += batch
+            for start in range(0, config.trials, config.batch_frames):
+                frames = np.arange(start, min(start + config.batch_frames, config.trials))
+                chunks = [c for c in np.array_split(frames, workers) if c.size]
+                for chunk in (pool.map if pool else map)(runner, chunks):
+                    tallies.extend(chunk)
                 errors = sum(t.bit_errors for t in tallies)
                 if config.min_bit_errors and errors >= config.min_bit_errors:
                     break
@@ -773,19 +765,6 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
         if pool is not None:
             pool.shutdown()
     return result
-
-
-def _chunks(indices: range, parts: int) -> list:
-    """``indices`` cut into at most ``parts`` contiguous, non-empty ranges
-    whose lengths differ by at most one."""
-    size, extra = divmod(len(indices), parts)
-    chunks, start = [], indices.start
-    for part in range(parts):
-        stop = start + size + (part < extra)
-        if stop > start:
-            chunks.append(range(start, stop))
-        start = stop
-    return chunks
 
 
 def run_gamma_sweep(

@@ -19,7 +19,7 @@ from impilot.analysis import (
     wrong_region_boundary,
     wrong_region_width,
 )
-from impilot.channel import initial_state, propagate_block
+from impilot.channel import channel_trajectory, propagate_blocks
 from impilot.constellation import (
     build_data_alphabet,
     build_pilot_alphabet,
@@ -278,16 +278,28 @@ def test_c09_oracle_equivalences():
             worst_llr, abs(llr_values(y, h, data, pilot, 8, 1, dnp) - naive)
         )
 
-    # two-entry channel vector versus the compositional transmit path
+    # the frame loop's two-entry channel vectors versus the compositional
+    # transmit path: block k of a frame gets path_gain * e^{j phi_k} times
+    # the impaired symbols rotated by the oscillator phase theta_k
     tx = TxImpairments(0.2, math.radians(2.0))
     quiet = RxImpairments(0.0, 0.0)
+    path_gain, blocks = 0.8, 3
+    phases = rng.uniform(0.0, 2 * math.pi, (50, 2 + blocks))
+    steps = rng.normal(0.0, math.radians(5.0), (50, blocks))
+    x = rng.normal(size=(50, 64)) + 1j * rng.normal(size=(50, 64))
+    h = channel_trajectory(phases, steps, "fast_block_phase", tx, path_gain)
+    theta = phases[:, 1].copy()
     worst_path = 0.0
-    for _ in range(50):
-        state = initial_state(tx, rng)
-        x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        via_vector = propagate_block(x, state, tx, quiet, rng)
-        composed = state.gain * apply_tx_impairments(x, tx, state.oscillator_phase)
-        worst_path = max(worst_path, float(np.max(np.abs(via_vector - composed))))
+    for k in range(blocks + 1):
+        if k:
+            theta += steps[:, k - 1]
+        phi = phases[:, 1 + k] if k else phases[:, 0]
+        via_vector = propagate_blocks(x, h[:, k], quiet, np.zeros_like(x))
+        for f in range(50):
+            composed = path_gain * np.exp(1j * phi[f]) * apply_tx_impairments(
+                x[f], tx, theta[f]
+            )
+            worst_path = max(worst_path, float(np.max(np.abs(via_vector[f] - composed))))
 
     # noiseless end-to-end runs are error free for both schemes
     quiet_cfg = paper_setup(

@@ -52,6 +52,27 @@ def test_width_vanishes_at_upper_ratio():
     assert wrong_region_width(gamma_star) == pytest.approx(0.0, abs=1e-4)
 
 
+def test_closed_form_root_solves_the_residual_on_a_dense_grid():
+    grid = np.linspace(0.33, 18.1, 4000)
+    roots = [wrong_region_boundary(g) for g in grid]
+    assert max(abs(boundary_residual(g, r)) for g, r in zip(grid, roots)) < 1e-12
+    # pi/4 at both edges: the roots fall to one minimum near g = 1.17, then rise
+    low = int(np.argmin(roots))
+    assert 1.1 < grid[low] < 1.25
+    assert np.all(np.diff(roots[: low + 1]) < 0) and np.all(np.diff(roots[low:]) > 0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_boundary_exists_exactly_between_the_edge_ratios(sign):
+    # the residual at pi/4 is (1 - sqrt(2)) g + 2 sqrt(g) - 1, zero at
+    # g = ((1 -/+ sqrt(2 - sqrt(2))) / (sqrt(2) - 1))^2: 0.32087 and 18.1644
+    edge = ((1.0 - sign * math.sqrt(2.0 - math.sqrt(2.0))) / (math.sqrt(2.0) - 1.0)) ** 2
+    inside, outside = edge * (1.0 + sign * 1e-6), edge * (1.0 - sign * 1e-6)
+    assert 0 < wrong_region_boundary(inside) <= math.pi / 4
+    with pytest.raises(NoBoundaryError):
+        wrong_region_boundary(outside)
+
+
 @pytest.mark.parametrize("gamma", [0.2, 25.0])
 def test_no_boundary_outside_bracket(gamma):
     with pytest.raises(NoBoundaryError):

@@ -19,7 +19,6 @@ from impilot.harness import (
     run_gamma_sweep,
     run_iteration_histogram,
     write_csv,
-    _chunks,
     _draw_pilots,
     _simulate_frames,
     _unit_preamble,
@@ -157,6 +156,9 @@ def test_config_from_dict_reports_bad_values_as_value_errors():
         SystemConfig.from_dict({"geometry": {"block_length": "64"}})
     with pytest.raises(ValueError, match="geometry"):
         SystemConfig.from_dict({"geometry": 5})
+    # a null geometry is not read as the default geometry
+    with pytest.raises(ValueError, match="geometry must be a mapping"):
+        SystemConfig.from_dict({"geometry": None})
     # a one-symbol preamble is fine where it is not used
     SystemConfig(geometry=BlockGeometry(preamble_length=1))
     SystemConfig(scheme="classical_ls", geometry=BlockGeometry(init_preamble_length=1))
@@ -166,6 +168,14 @@ def test_config_from_dict_reports_bad_values_as_value_errors():
 def test_config_from_dict_rejects_a_non_mapping(data):
     with pytest.raises(ValueError, match="config must be a mapping"):
         SystemConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("geometry", [{"block_length": 64}, None, (64, 8, 1, 100)])
+def test_config_rejects_a_geometry_that_is_not_a_block_geometry(geometry):
+    with pytest.raises(ValueError, match="geometry must be a BlockGeometry"):
+        SystemConfig(geometry=geometry)
+    with pytest.raises(ValueError, match="geometry must be a BlockGeometry"):
+        replace(quiet_config(), geometry=geometry)
 
 
 def test_config_from_dict_rejects_a_split_beyond_int64_ranks():
@@ -334,15 +344,18 @@ def test_worker_count_does_not_change_results(tmp_path):
 def test_worker_pool_is_capped_at_the_batch_width(monkeypatch):
     # a batch is cut into at most batch_frames chunks, so more workers than
     # that would be started with nothing to do
-    sizes = []
+    sizes, chunks = [], []
 
     class SerialExecutor:
-        """Records the pool size asked for and runs ``map`` in this process."""
+        """Records the pool size asked for and the chunks handed to ``map``,
+        and runs ``map`` in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def map(self, fn, iterable):
+            iterable = list(iterable)
+            chunks.append([[int(i) for i in chunk] for chunk in iterable])
             return map(fn, iterable)
 
         def shutdown(self):
@@ -353,6 +366,13 @@ def test_worker_pool_is_capped_at_the_batch_width(monkeypatch):
     capped = run_experiment(cfg, workers=10**6)
     assert sizes == [2]
     assert capped.csv_rows() == run_experiment(cfg, workers=1).csv_rows()
+
+    # contiguous chunks in frame order, none empty, lengths within one
+    sizes.clear()
+    chunks.clear()
+    run_experiment(quiet_config(trials=7, batch_frames=5, ebn0_db=(6.0,)), workers=3)
+    assert sizes == [3]
+    assert chunks == [[[0, 1], [2, 3], [4]], [[5], [6]]]
 
 
 @pytest.mark.parametrize(
@@ -422,12 +442,6 @@ def test_contiguous_splits_give_the_same_tallies(run):
     together = _simulate_frames(config, snr, point, range(frames))
     split = [t for chunk in chunks for t in _simulate_frames(config, snr, point, chunk)]
     assert split == together
-
-
-def test_chunks_are_contiguous_and_near_equal():
-    assert _chunks(range(3, 8), 2) == [range(3, 6), range(6, 8)]
-    assert _chunks(range(3, 8), 3) == [range(3, 5), range(5, 7), range(7, 8)]
-    assert _chunks(range(0, 2), 3) == [range(0, 1), range(1, 2)]
 
 
 def test_noiseless_ideal_hardware_is_error_free():
