@@ -9,8 +9,11 @@ ragged.  The ``proposed_turbo_rescue`` case runs the iterative receiver at
 0 dB with 8 iterations and per-iteration DNP refresh, where the consistency
 screen fires and its rescue candidates get adopted
 (``test_rescue_case_adopts_rescue_candidates`` checks that they do).  The
-last two cases cover index demapping: undecodable position sets, and the
-fixed table for two pilots in four positions.
+next two cases cover index demapping: undecodable position sets, and the
+fixed table for two pilots in four positions.  The two ``early_stop`` cases
+sweep five points whose error target stops them after one, two or three
+batches, so they pin which frames each point runs when points drop out of
+the sweep at different batches.
 
 ``golden_sums.json`` holds the exact sums behind every row, so a change in
 the last bit of any estimate shows even where the printed digits hide it.
@@ -36,6 +39,10 @@ _COMMON = dict(
     batch_frames=2,
     min_bit_errors=0,
     master_seed=11,
+)
+
+_EARLY_STOP = dict(
+    _COMMON, ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0), trials=6, min_bit_errors=45
 )
 
 CASES = {
@@ -66,6 +73,10 @@ CASES = {
             ),
         },
     ),
+    # The error target stops 0 and 4 dB after one batch and 8 dB after two;
+    # 12 and 16 dB run to the frame cap.
+    "proposed_turbo_early_stop": SystemConfig(scheme="proposed_turbo", **_EARLY_STOP),
+    "classical_mmse_early_stop": SystemConfig(scheme="classical_mmse", **_EARLY_STOP),
 }
 
 
