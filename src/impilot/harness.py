@@ -2,13 +2,16 @@
 
 A run sweeps per-bit SNR points for one receiver scheme, simulating frames of
 sequentially-dependent blocks (the channel estimate of block k seeds the
-detection of block k+1).  Frames are independent, so the frames of a batch
-run in lockstep: block k of every frame goes through the receiver as one
-stack before block k+1.  Results are a pure function of (config, seed): the
-per-frame random stream is derived from the master seed and the frame's grid
-coordinates, batches have a fixed size, and tallies merge in frame order, so
-neither the lockstep width nor splitting frames across workers can change a
-single output byte.
+detection of block k+1).  Frames are independent, so batch b of every SNR
+point still under its error target runs as one lockstep stack: block k of
+every frame goes through the receiver as one stack before block k+1, each
+row with its own point's noise variance.  With several workers, or where
+the config's size caps call for it, the stack is cut into contiguous chunks
+in ``(point, trial)`` order.  Results are a pure function of (config, seed):
+the per-frame random stream is derived from the master seed and the frame's
+``(point, trial)`` coordinates, batches have a fixed size, and each point's
+tallies merge in frame order, so neither the lockstep width nor splitting
+frames across workers can change a single output byte.
 """
 
 import hashlib
@@ -208,23 +211,34 @@ class SystemConfig:
         self._check_runnable()
         self._check_linear_range()
 
+    def _frame_size(self) -> tuple[int, int]:
+        """What one frame adds to a lockstep stack: the samples it draws,
+        and the distances its block step computes."""
+        g = self.geometry
+        per_sample = self.data_order + self.pilot_order
+        if self.scheme == "proposed_turbo":
+            per_sample += 3 * (g.pilots_per_block + 1)
+        return g.frame_length, g.block_length * per_sample
+
+    def _max_stack_frames(self) -> int:
+        """The most frames one lockstep stack may hold within
+        ``_MAX_BATCH_SAMPLES`` and ``_MAX_STEP_DISTANCES``."""
+        samples, distances = self._frame_size()
+        return min(_MAX_BATCH_SAMPLES // samples, _MAX_STEP_DISTANCES // distances)
+
     def _check_size(self) -> None:
         """Reject a config whose batch passes ``_MAX_BATCH_SAMPLES`` samples
         or whose block step passes ``_MAX_STEP_DISTANCES`` distances."""
-        g = self.geometry
         frames = min(self.batch_frames, self.trials)
-        samples = frames * g.frame_length
+        samples, distances = (frames * size for size in self._frame_size())
         if samples > _MAX_BATCH_SAMPLES:
             raise ValueError(
                 "min(batch_frames, trials) * blocks_per_frame * block_length is "
                 f"{samples} samples per batch, over the cap of {_MAX_BATCH_SAMPLES}"
             )
         terms = "data_order + pilot_order"
-        per_sample = self.data_order + self.pilot_order
         if self.scheme == "proposed_turbo":
             terms += " + 3 * (pilots_per_block + 1)"
-            per_sample += 3 * (g.pilots_per_block + 1)
-        distances = frames * g.block_length * per_sample
         if distances > _MAX_STEP_DISTANCES:
             raise ValueError(
                 f"min(batch_frames, trials) * block_length * ({terms}) is {distances} "
@@ -470,13 +484,16 @@ def _mmse_prior(config: SystemConfig) -> np.ndarray:
     return prior + ridge * np.eye(2)
 
 
-def _simulate_frames(
-    config: SystemConfig, ebn0_db: float, point_index: int, trial_indices
-) -> list:
-    """Tallies of the frames ``trial_indices`` of one SNR point, in order.
+def _simulate_frames(config: SystemConfig, frame_keys) -> list:
+    """Tallies of the frames ``frame_keys``, in order.
 
-    Each frame draws from its own stream, seeded by the master seed and the
-    frame's grid coordinates, in a fixed order: at the start of the frame,
+    ``frame_keys`` holds one ``(point, trial)`` pair per frame: the index of
+    its SNR point in ``config.ebn0_db`` and its trial number there.  Frames
+    of different points may share a stack; each row takes its own point's
+    noise variance.
+
+    Each frame draws from its own stream, seeded by the master seed and its
+    ``(point, trial)`` pair, in a fixed order: at the start of the frame,
 
     1. ``uniform(0, 2 pi)``: the initial physical and oscillator phases,
        then (fast_block_phase only) each block's physical phase;
@@ -495,19 +512,18 @@ def _simulate_frames(
     Only the block's assembly and its estimation depend on the scheme;
     propagation, detection and scoring see the whole stack at once.
     """
+    points, trials = np.asarray(frame_keys, dtype=np.int64).reshape(-1, 2).T
     rngs = [
         np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=config.master_seed, spawn_key=(point_index, int(trial))
-            )
+            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(int(p), int(t)))
         )
-        for trial in trial_indices
+        for p, t in zip(points, trials)
     ]
     g = config.geometry
     tx = config.tx_impairments()
+    variances = np.array([config.noise_variance_for(v) for v in config.ebn0_db])
     rx = RxImpairments(
-        distortion_level=config.distortion_level,
-        noise_variance=config.noise_variance_for(ebn0_db),
+        distortion_level=config.distortion_level, noise_variance=variances[points]
     )
     scheme = config.scheme
     classical = config.classical
@@ -738,33 +754,46 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
 
     Each point runs frames in fixed-size batches until the configured frame
     cap or a minimum number of accumulated bit errors is reached, whichever
-    comes first.  The frames of a batch run in lockstep; with several
-    workers, each batch is cut into one contiguous chunk per worker.  Given
-    the same (config, seed) the output is bit-identical for any worker
-    count.
+    comes first.  Batch b of every point still under its error target runs
+    as one lockstep stack of ``(point, trial)`` rows, points in grid order
+    and frames in trial order.  The stack is cut into contiguous chunks,
+    one per worker and more where a chunk would pass the config's size
+    caps; each point's tallies then merge in frame order, and its early
+    stop is decided after the batch.  Given the same (config, seed) the
+    output is bit-identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, config.batch_frames)  # no batch has more chunks than frames
-    result = ExperimentResult(config=config)
+    active = list(range(len(config.ebn0_db)))
+    # No stack has more rows than the first, which holds every point.
+    workers = min(workers, len(active) * min(config.batch_frames, config.trials))
+    max_rows = config._max_stack_frames()
+    tallies = [[] for _ in active]
+    runner = partial(_simulate_frames, config)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for point_index, ebn0_db in enumerate(config.ebn0_db):
-            runner = partial(_simulate_frames, config, ebn0_db, point_index)
-            tallies: list = []
-            for start in range(0, config.trials, config.batch_frames):
-                frames = np.arange(start, min(start + config.batch_frames, config.trials))
-                chunks = [c for c in np.array_split(frames, workers) if c.size]
-                for chunk in (pool.map if pool else map)(runner, chunks):
-                    tallies.extend(chunk)
-                errors = sum(t.bit_errors for t in tallies)
-                if config.min_bit_errors and errors >= config.min_bit_errors:
-                    break
-            result.points.append(_merge_point(config, ebn0_db, tallies))
+        for start in range(0, config.trials, config.batch_frames):
+            stop = min(start + config.batch_frames, config.trials)
+            keys = np.array([(p, t) for p in active for t in range(start, stop)])
+            pieces = max(workers, math.ceil(len(keys) / max_rows))
+            chunks = [c for c in np.array_split(keys, pieces) if c.size]
+            for chunk, results in zip(chunks, (pool.map if pool else map)(runner, chunks)):
+                for (point, _), tally in zip(chunk, results):
+                    tallies[point].append(tally)
+            if config.min_bit_errors:
+                active = [
+                    p for p in active
+                    if sum(t.bit_errors for t in tallies[p]) < config.min_bit_errors
+                ]
+            if not active:
+                break
     finally:
         if pool is not None:
             pool.shutdown()
-    return result
+    return ExperimentResult(
+        config=config,
+        points=[_merge_point(config, v, t) for v, t in zip(config.ebn0_db, tallies)],
+    )
 
 
 def run_gamma_sweep(

@@ -64,15 +64,20 @@ class TxImpairments:
 @dataclass(frozen=True)
 class RxImpairments:
     """Receiver distortion level (linear, relative to received power) and
-    thermal noise variance."""
+    thermal noise variance.
+
+    distortion_level: one value for every block.
+    noise_variance:   one value, or one per row of a stack of blocks (an
+                      array broadcast along the leading, row axis).
+    """
 
     distortion_level: float = 0.0
-    noise_variance: float = 0.0
+    noise_variance: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.distortion_level < 0:
             raise ValueError("distortion_level must be >= 0")
-        if self.noise_variance < 0:
+        if np.any(np.asarray(self.noise_variance) < 0):
             raise ValueError("noise_variance must be >= 0")
 
 

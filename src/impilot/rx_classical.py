@@ -105,16 +105,17 @@ def ls_estimate(pilots, received) -> np.ndarray:
     return estimates
 
 
-def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> np.ndarray:
+def mmse_estimate(pilots, received, noise_variance, prior_covariance) -> np.ndarray:
     """Linear MMSE estimates (P^H P + v C^-1)^-1 P^H y with prior covariance C.
 
     ``received`` is ``(rows, n)``, all sent with the one ``(n,)`` pilot
-    sequence; returns ``(rows, 2)``.  Reduces to LS as the noise variance
-    goes to zero and shrinks to the zero vector as it grows.  P^H y is
-    formed per row, and the one left-hand matrix is solved against every
-    row.
+    sequence; returns ``(rows, 2)``.  ``noise_variance`` v is one value, or
+    one per row.  Reduces to LS as the noise variance goes to zero and
+    shrinks to the zero vector as it grows.  P^H y is formed per row, and
+    each row's left-hand matrix is solved against its own row.
     """
-    if noise_variance < 0:
+    noise_variance = np.asarray(noise_variance, dtype=float)
+    if np.any(noise_variance < 0):
         raise ValueError("noise variance must be >= 0")
     prior = np.asarray(prior_covariance, dtype=complex)
     if prior.shape != (2, 2):
@@ -124,7 +125,7 @@ def mmse_estimate(pilots, received, noise_variance: float, prior_covariance) -> 
         raise ValueError("prior covariance must be positive definite")
     P = pilot_matrix(pilots)
     PH = P.conj().T
-    lhs = PH @ P + noise_variance * np.linalg.inv(prior)
+    lhs = PH @ P + noise_variance[..., None, None] * np.linalg.inv(prior)
     rhs = np.einsum("ij,fj->fi", PH, _stacked(received))
     return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
 

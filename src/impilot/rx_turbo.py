@@ -84,14 +84,19 @@ def _flag_quantile(dof: int) -> float:
 def _dnp(rx: RxImpairments, received_power):
     """Distortion-plus-noise power at a received signal power: the power
     times the distortion level, plus thermal noise, floored for numerical
-    stability."""
-    return np.maximum(rx.distortion_level * received_power + rx.noise_variance, DNP_FLOOR)
+    stability.  A per-row ``rx.noise_variance`` is broadcast along the
+    leading (row) axis of ``received_power``."""
+    power = np.asarray(received_power, dtype=float)
+    noise = np.asarray(rx.noise_variance, dtype=float)
+    noise = noise.reshape(noise.shape + (1,) * (power.ndim - noise.ndim))
+    return np.maximum(rx.distortion_level * power + noise, DNP_FLOOR)
 
 
 def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     """Distortion-plus-noise power implied by a channel estimate's
     received-power prediction.  Estimates stacked on leading axes give one
-    value each."""
+    value each; a per-row ``rx.noise_variance`` holds one value per entry
+    of the first axis."""
     power = np.sum(np.abs(np.asarray(channel_estimate)) ** 2, axis=-1) * transmit_power
     return _dnp(rx, power)
 
@@ -239,8 +244,9 @@ def turbo_receive_frames(
     """Run the full iterative receiver on one block of each of F frames.
 
     ``received`` is (F, block_length), ``prior_estimates`` (F, 2) and
-    ``pilot_values`` (F, pilots_per_block).  Each row's output equals that
-    of the row processed alone.
+    ``pilot_values`` (F, pilots_per_block).  ``rx.noise_variance`` is one
+    value, or (F,) with one per row.  Each row's output equals that of the
+    row processed alone.
 
     ``dnp_mode`` picks the distortion-plus-noise power used inside the
     ratio: "prior" keeps the value derived from the prior estimate for the
@@ -268,6 +274,8 @@ def turbo_receive_frames(
     # samples are y_flat.flat[starts[rows] + pattern].
     starts = np.arange(frames)[:, None, None] * geometry.block_length + offsets
 
+    # One noise variance per row, so that a row subset takes its own.
+    noise = np.broadcast_to(np.asarray(rx.noise_variance, dtype=float), (frames,))
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
     fallbacks = np.zeros(frames, dtype=np.int64)
@@ -305,7 +313,8 @@ def turbo_receive_frames(
             if dnp_mode == "prior":
                 dnp_iter = dnp_prior[r][:, None, None]
             else:
-                dnp_iter = prior_dnp(h_ex, rx, transmit_power)[..., None]
+                rx_rows = RxImpairments(rx.distortion_level, noise[r])
+                dnp_iter = prior_dnp(h_ex, rx_rows, transmit_power)[..., None]
 
             eta = llr_values(
                 y[r],
@@ -394,7 +403,7 @@ def turbo_receive_frames(
         return residual + np.sum(nearest, axis=-1)
 
     measured_power = np.maximum(
-        (np.mean(np.abs(y_flat) ** 2, axis=-1) - rx.noise_variance)
+        (np.mean(np.abs(y_flat) ** 2, axis=-1) - noise)
         / (1.0 + rx.distortion_level),
         0.0,
     )

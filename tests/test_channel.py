@@ -143,6 +143,20 @@ def test_stacked_propagation_rows_match_one_block_calls():
         assert stacked[f].tobytes() == alone.tobytes()
 
 
+def test_propagation_takes_one_noise_variance_per_row():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    h = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    noise = unit_noise(rng.standard_normal((3, 16, 2)))
+    variances = np.array([0.0, 0.3, 5.0])
+    stacked = propagate_blocks(x, h, RxImpairments(0.02, variances), noise)
+    for f in range(3):
+        alone = propagate_blocks(
+            x[f : f + 1], h[f : f + 1], RxImpairments(0.02, variances[f]), noise[f : f + 1]
+        )
+        assert stacked[f].tobytes() == alone[0].tobytes()
+
+
 def test_unit_noise_has_unit_variance():
     noise = unit_noise(np.random.default_rng(8).standard_normal((200_000, 2)))
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.01)

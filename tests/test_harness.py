@@ -341,38 +341,117 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert outputs[2] == outputs[0]
 
 
-def test_worker_pool_is_capped_at_the_batch_width(monkeypatch):
-    # a batch is cut into at most batch_frames chunks, so more workers than
-    # that would be started with nothing to do
-    sizes, chunks = [], []
+class SerialExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size asked
+    for and the ``(point, trial)`` chunks handed to ``map``, and runs
+    ``map`` in this process."""
 
-    class SerialExecutor:
-        """Records the pool size asked for and the chunks handed to ``map``,
-        and runs ``map`` in this process."""
+    sizes: list = []
+    chunks: list = []
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def map(self, fn, iterable):
-            iterable = list(iterable)
-            chunks.append([[int(i) for i in chunk] for chunk in iterable])
-            return map(fn, iterable)
+    def map(self, fn, iterable):
+        iterable = list(iterable)
+        self.chunks.append(_chunk_keys(iterable))
+        return map(fn, iterable)
 
-        def shutdown(self):
-            pass
+    def shutdown(self):
+        pass
 
+
+def _chunk_keys(chunks) -> list:
+    return [[tuple(int(i) for i in key) for key in chunk] for chunk in chunks]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    SerialExecutor.sizes, SerialExecutor.chunks = [], []
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialExecutor)
+    return SerialExecutor
+
+
+def test_worker_pool_is_capped_at_the_batch_width(serial_pool):
+    # a stack holds at most every point's batch, so more workers than that
+    # would be started with nothing to do
+    sizes, chunks = serial_pool.sizes, serial_pool.chunks
     cfg = quiet_config(trials=5, batch_frames=2, ebn0_db=(6.0,))
     capped = run_experiment(cfg, workers=10**6)
     assert sizes == [2]
     assert capped.csv_rows() == run_experiment(cfg, workers=1).csv_rows()
 
-    # contiguous chunks in frame order, none empty, lengths within one
+    # contiguous chunks in (point, trial) order, none empty, lengths within one
     sizes.clear()
     chunks.clear()
     run_experiment(quiet_config(trials=7, batch_frames=5, ebn0_db=(6.0,)), workers=3)
     assert sizes == [3]
-    assert chunks == [[[0, 1], [2, 3], [4]], [[5], [6]]]
+    assert chunks == [
+        [[(0, 0), (0, 1)], [(0, 2), (0, 3)], [(0, 4)]],
+        [[(0, 5)], [(0, 6)]],
+    ]
+
+    # batch b of every point in one stack: never more workers than its rows
+    sizes.clear()
+    chunks.clear()
+    cfg = quiet_config(trials=3, batch_frames=2, ebn0_db=(6.0, 8.0))
+    capped = run_experiment(cfg, workers=10**6)
+    assert sizes == [4]
+    assert capped.csv_rows() == run_experiment(cfg, workers=1).csv_rows()
+    sizes.clear()
+    chunks.clear()
+    run_experiment(cfg, workers=3)
+    assert sizes == [3]
+    assert chunks == [
+        [[(0, 0), (0, 1)], [(1, 0)], [(1, 1)]],
+        [[(0, 2)], [(1, 2)]],
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cap", ["samples", "distances"])
+def test_stacks_are_cut_within_the_size_caps(cap, workers, serial_pool, monkeypatch):
+    # Five points of two-frame batches make a ten-row first stack; with the
+    # caps lowered to admit two or three frames, no call may hold more.
+    # Every _simulate_frames call is recorded, with one worker and with the
+    # in-process pool alike, so no process is started.
+    cfg = quiet_config(
+        geometry=BlockGeometry(blocks_per_frame=3),
+        trials=3,
+        batch_frames=2,
+        ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0),
+    )
+    expected = run_experiment(cfg).csv_rows()
+    samples, distances = cfg._frame_size()
+    if cap == "samples":
+        monkeypatch.setattr(harness, "_MAX_BATCH_SAMPLES", 3 * samples + 1)
+        admitted = 3
+    else:
+        monkeypatch.setattr(harness, "_MAX_STEP_DISTANCES", 2 * distances + 1)
+        admitted = 2
+    assert cfg._max_stack_frames() == admitted
+
+    calls = []
+    simulate = harness._simulate_frames
+
+    def recording(config, keys):
+        calls.append(_chunk_keys([keys])[0])
+        return simulate(config, keys)
+
+    monkeypatch.setattr(harness, "_simulate_frames", recording)
+    assert run_experiment(cfg, workers=workers).csv_rows() == expected
+    if workers > 1:
+        assert serial_pool.sizes == [workers]
+        assert [chunk for stack in serial_pool.chunks for chunk in stack] == calls
+    # each batch's stack, cut into contiguous chunks of (point, trial) rows
+    stacks = [[c for c in calls if c[0][1] // 2 == batch] for batch in (0, 1)]
+    assert [[key for chunk in stack for key in chunk] for stack in stacks] == [
+        [(p, t) for p in range(5) for t in trials] for trials in ([0, 1], [2])
+    ]
+    lengths = [[len(chunk) for chunk in stack] for stack in stacks]
+    assert max(max(stack) for stack in lengths) <= admitted
+    assert all(max(stack) - min(stack) <= 1 for stack in lengths)
+    assert lengths[0] == ([3, 3, 2, 2] if admitted == 3 else [2] * 5)
 
 
 @pytest.mark.parametrize(
@@ -393,55 +472,90 @@ def test_worker_pool_is_capped_at_the_batch_width(monkeypatch):
     ],
 )
 def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
+    # five frames of point 1 stacked with five of a 20 dB point 0
     cfg = quiet_config(**overrides)
-    snr = cfg.ebn0_db[0]
-    together = _simulate_frames(cfg, snr, 1, range(5))
-    for trial in range(5):
-        assert _simulate_frames(cfg, snr, 1, [trial]) == [together[trial]]
+    cfg = replace(cfg, ebn0_db=(20.0,) + cfg.ebn0_db)
+    keys = [(point, trial) for point in (0, 1) for trial in range(5)]
+    together = _simulate_frames(cfg, keys)
+    for key, tally in zip(keys, together):
+        assert _simulate_frames(cfg, [key]) == [tally]
+
+
+def _split_run(scheme, snrs, frames, cuts, **options):
+    """A config over the SNR points ``snrs``, the ``(point, trial)`` keys of
+    ``frames`` frames of each point in grid order, and those keys cut at the
+    stack positions ``cuts``."""
+    geometry = options.pop("geometry", {})
+    config = SystemConfig(
+        geometry=BlockGeometry(block_length=16, **geometry),
+        scheme=scheme,
+        ebn0_db=snrs,
+        trials=1,
+        min_bit_errors=0,
+        **options,
+    )
+    keys = [(point, trial) for point in range(len(snrs)) for trial in range(frames)]
+    bounds = [0, *cuts, len(keys)]
+    return config, keys, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @st.composite
 def _split_runs(draw):
-    """A small accepted config, a frame count and a contiguous split of it."""
-    scheme = draw(st.sampled_from(SCHEMES))
-    geometry = BlockGeometry(
-        block_length=16,
-        subblocks=draw(st.sampled_from([2, 4])),
-        pilots_per_subblock=draw(st.integers(1, 2)),
-        blocks_per_frame=draw(st.integers(1, 3)),
+    """A small accepted config over 2-3 SNR points, and a contiguous split
+    of a stack holding 1-3 frames of each."""
+    points = draw(st.integers(2, 3))
+    frames = draw(st.integers(1, 3))
+    args = (
+        draw(st.sampled_from(SCHEMES)),
+        draw(st.lists(st.floats(0.0, 20.0), min_size=points, max_size=points)),
+        frames,
+        sorted(draw(st.sets(st.integers(1, points * frames - 1)))),
+    )
+    options = dict(
+        geometry=dict(
+            subblocks=draw(st.sampled_from([2, 4])),
+            pilots_per_subblock=draw(st.integers(1, 2)),
+            blocks_per_frame=draw(st.integers(1, 3)),
+        ),
+        fading_mode=draw(st.sampled_from(["fast_block_phase", "quasi_static"])),
+        phase_step_std_deg=draw(st.sampled_from([0.0, 5.0])),
+        dnp_mode=draw(st.sampled_from(DNP_MODES)),
+        max_iterations=draw(st.integers(1, 4)),
+        master_seed=draw(st.integers(0, 2**16)),
     )
     try:
-        config = SystemConfig(
-            geometry=geometry,
-            scheme=scheme,
-            fading_mode=draw(st.sampled_from(["fast_block_phase", "quasi_static"])),
-            phase_step_std_deg=draw(st.sampled_from([0.0, 5.0])),
-            dnp_mode=draw(st.sampled_from(DNP_MODES)),
-            max_iterations=draw(st.integers(1, 4)),
-            ebn0_db=(draw(st.floats(0.0, 20.0)),),
-            trials=1,
-            min_bit_errors=0,
-            master_seed=draw(st.integers(0, 2**16)),
-        )
+        return _split_run(*args, **options)
     except ValueError:
         reject()
-    frames = draw(st.integers(1, 5))
-    cuts = sorted(draw(st.sets(st.integers(1, frames - 1)))) if frames > 1 else []
-    bounds = [0, *cuts, frames]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    return config, draw(st.integers(0, 3)), frames, chunks
 
 
 @settings(max_examples=150, deadline=None)
 @given(_split_runs())
+@example(
+    run=_split_run(
+        "proposed_turbo", [0.0, 12.0, 20.0], 2, [1, 4],
+        geometry=dict(subblocks=4), dnp_mode="refresh", max_iterations=4,
+    )
+)
+@example(run=_split_run("classical_ls", [2.0, 9.0], 3, [2, 3]))
+@example(run=_split_run("classical_mmse", [0.0, 5.0, 20.0], 2, [3]))
+@example(
+    run=_split_run(
+        "lower_bound_perfect_pattern", [4.0, 16.0], 3, [1, 5],
+        geometry=dict(subblocks=2, pilots_per_subblock=2), fading_mode="quasi_static",
+    )
+)
 def test_contiguous_splits_give_the_same_tallies(run):
     # The worker-invariance contract without a process pool: a frame's tally
-    # depends only on its own stream, not on the frames it runs with.
-    config, point, frames, chunks = run
-    snr = config.ebn0_db[0]
-    together = _simulate_frames(config, snr, point, range(frames))
-    split = [t for chunk in chunks for t in _simulate_frames(config, snr, point, chunk)]
+    # depends only on its own stream and point, not on the frames it runs
+    # with, whether of its own point or of others at other SNRs.
+    config, keys, chunks = run
+    together = _simulate_frames(config, keys)
+    split = [t for chunk in chunks for t in _simulate_frames(config, chunk)]
     assert split == together
+    for point in range(len(config.ebn0_db)):
+        alone = _simulate_frames(config, [k for k in keys if k[0] == point])
+        assert alone == [t for k, t in zip(keys, together) if k[0] == point]
 
 
 def test_noiseless_ideal_hardware_is_error_free():

@@ -131,3 +131,10 @@ def test_parameter_validation():
         RxImpairments(distortion_level=0.1, noise_variance=-1.0)
     with pytest.raises(ValueError):
         TxImpairments(phase_step_std=-0.1)
+
+
+def test_per_row_noise_variance_rejects_any_negative_entry():
+    rows = np.array([0.0, 0.5, 2.0])
+    assert RxImpairments(0.1, rows).noise_variance is rows
+    with pytest.raises(ValueError, match="noise_variance must be >= 0"):
+        RxImpairments(0.1, np.array([0.5, -1e-300, 2.0]))

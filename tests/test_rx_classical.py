@@ -284,6 +284,20 @@ def test_stacked_estimates_match_one_row_calls_bit_for_bit(length):
         assert mmse[f].tobytes() == oracle.tobytes()
 
 
+def test_mmse_per_row_noise_variance_matches_one_row_calls():
+    rng = np.random.default_rng(11)
+    pilots = np.exp(1j * np.pi / 2.0 * np.arange(4))
+    received = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    prior = np.array([[1.0, 0.3 - 0.1j], [0.3 + 0.1j, 0.5]])
+    variances = np.array([0.0, 0.01, 0.3, 2.0, 50.0])
+    stacked = mmse_estimate(pilots, received, variances, prior)
+    for f in range(5):
+        alone = mmse_estimate(pilots, received[f : f + 1], variances[f], prior)[0]
+        assert stacked[f].tobytes() == alone.tobytes()
+    with pytest.raises(ValueError, match="noise variance must be >= 0"):
+        mmse_estimate(pilots, received, np.array([0.1, 0.2, -0.1, 0.3, 0.4]), prior)
+
+
 def test_stacked_ls_rejects_a_degenerate_row():
     received = np.ones((3, 4), dtype=complex)
     pilots = np.exp(1j * np.pi / 2.0 * np.arange(4)) * np.ones((3, 1))

@@ -359,6 +359,17 @@ def test_prior_dnp_formula():
     assert prior_dnp(np.zeros((1, 2)), RxImpairments(0.0, 0.0), 1.0)[0] > 0
 
 
+def test_prior_dnp_takes_one_noise_variance_per_row():
+    # one value per entry of the leading axis, broadcast over the others
+    estimates = np.arange(12.0).reshape(3, 2, 2) * (1 + 0.5j)
+    variances = np.array([0.1, 0.2, 0.4])
+    stacked = prior_dnp(estimates, RxImpairments(0.5, variances), 1.375)
+    assert stacked.shape == (3, 2)
+    for f in range(3):
+        alone = prior_dnp(estimates[f], RxImpairments(0.5, variances[f]), 1.375)
+        assert stacked[f].tobytes() == alone.tobytes()
+
+
 def test_unmapped_pattern_scores_as_flagged():
     geometry = BlockGeometry(block_length=16, subblocks=4, pilots_per_subblock=2)
     # hand-built block whose pilots sit on the unmapped diagonal {1, 3}
@@ -464,6 +475,43 @@ def test_stacked_rows_match_one_block_calls():
             TRANSMIT_POWER, **options,
         )
         assert_row_matches(stacked, f, alone)
+
+
+@pytest.mark.parametrize("dnp_mode", ["prior", "refresh"])
+def test_per_row_noise_variance_matches_one_row_calls(dnp_mode):
+    # rows at noise variances from 0.01 to 1, each sent at its own level and
+    # received with its own value: row f equals the row alone with a scalar
+    # noise variance, through the iteration subsets and the rescue alike
+    rng = np.random.default_rng(17)
+    tx = TxImpairments(0.2, math.radians(2.0))
+    frames = 40
+    variances = np.geomspace(0.01, 1.0, frames)
+    received, priors, pilots = [], [], []
+    for v in variances:
+        symbols, _, values, *_ = random_block(rng)
+        h = np.array([tx.direct_coeff, tx.image_coeff]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        noise = math.sqrt(v / 2) * (rng.normal(size=64) + 1j * rng.normal(size=64))
+        received.append(symbols[0] * h[0] + np.conj(symbols[0]) * h[1] + noise)
+        priors.append(h * np.exp(1j * rng.uniform(-0.6, 0.6)))
+        pilots.append(values)
+    options = dict(max_iterations=8, dnp_mode=dnp_mode)
+    stacked = turbo_receive_frames(
+        np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
+        make_rx(variances, 0.02), TRANSMIT_POWER, **options,
+    )
+    assert stacked.flagged.any()
+    assert len(set(stacked.iterations.tolist())) > 2
+    for f in range(frames):
+        alone = turbo_receive(
+            received[f], priors[f], GEOMETRY, DATA, PILOT, pilots[f],
+            make_rx(variances[f], 0.02), TRANSMIT_POWER, **options,
+        )
+        assert_row_matches(stacked, f, alone)
+    with pytest.raises(ValueError):
+        turbo_receive_frames(
+            np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
+            make_rx(variances[:-1], 0.02), TRANSMIT_POWER, **options,
+        )
 
 
 def test_flag_quantile_matches_gamma_isf():
