@@ -354,15 +354,16 @@ class SerialExecutor:
 
     def map(self, fn, iterable):
         iterable = list(iterable)
-        self.chunks.append(_chunk_keys(iterable))
+        self.chunks.append([_keys(chunk) for chunk in iterable])
         return map(fn, iterable)
 
     def shutdown(self):
         pass
 
 
-def _chunk_keys(chunks) -> list:
-    return [[tuple(int(i) for i in key) for key in chunk] for chunk in chunks]
+def _keys(chunk) -> list:
+    """A chunk's ``(point, trial)`` rows as tuples of ints."""
+    return [tuple(int(i) for i in key) for key in chunk]
 
 
 @pytest.fixture
@@ -435,7 +436,7 @@ def test_stacks_are_cut_within_the_size_caps(cap, workers, serial_pool, monkeypa
     simulate = harness._simulate_frames
 
     def recording(config, keys):
-        calls.append(_chunk_keys([keys])[0])
+        calls.append(_keys(keys))
         return simulate(config, keys)
 
     monkeypatch.setattr(harness, "_simulate_frames", recording)
