@@ -35,6 +35,11 @@ __all__ = [
 
 _NULL_TOL = 1e-12
 
+# Cap on block_length, so a block too large for memory fails when it is
+# built.  At the cap a trial holds a few MB, and its sliding correlation
+# (block_length * pilot_length products) takes well under a second.
+_MAX_BLOCK_LENGTH = 2**16
+
 
 class SpectralNullError(ValueError):
     """The channel has a frequency bin too close to zero to invert."""
@@ -50,6 +55,10 @@ class FscGeometry:
     pilot_length: int = 8
 
     def __post_init__(self):
+        if self.block_length > _MAX_BLOCK_LENGTH:
+            raise ValueError(
+                f"block_length must be <= {_MAX_BLOCK_LENGTH}, got {self.block_length}"
+            )
         if self.cir_length < 1:
             raise ValueError("cir_length must be >= 1")
         if self.cp_length < self.cir_length:

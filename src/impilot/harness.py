@@ -9,19 +9,19 @@ row with its own point's noise variance.  With several workers, or where
 the config's size caps call for it, the stack is cut into contiguous chunks
 in ``(point, trial)`` order.  Results are a pure function of (config, seed):
 the per-frame random stream is derived from the master seed and the frame's
-``(point, trial)`` coordinates, batches have a fixed size, and each point's
-tallies merge in frame order, so neither the lockstep width nor splitting
-frames across workers can change a single output byte.
+``(point, trial)`` coordinates, batches have a fixed size, and each frame
+comes back as one row of counts and one of float sums, which its point adds
+in frame order, so neither the lockstep width nor splitting frames across
+workers can change a single output byte.
 """
 
 import hashlib
 import json
 import math
 import numbers
-import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial, reduce
+from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -399,28 +399,6 @@ class SystemConfig:
         return received / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
 
 
-@dataclass
-class FrameTally:
-    """Additive scoring sums of one frame, or of several once added."""
-
-    frames: int = 0
-    index_bit_errors: int = 0
-    index_bits: int = 0
-    symbol_bit_errors: int = 0
-    symbol_bits: int = 0
-    mse_num: float = 0.0
-    mse_den: float = 0.0
-    pattern_errors: int = 0
-    subblocks: int = 0
-    blocks: int = 0
-    fallbacks: int = 0
-    iteration_counts: tuple = ()
-
-    @property
-    def bit_errors(self) -> int:
-        return self.index_bit_errors + self.symbol_bit_errors
-
-
 def _spans_both_axes(values) -> np.ndarray:
     """Whether each pilot set (last axis) keeps its [p, conj(p)] matrix rank
     two, i.e. its values do not all lie on one line through the origin."""
@@ -484,8 +462,21 @@ def _mmse_prior(config: SystemConfig) -> np.ndarray:
     return prior + ridge * np.eye(2)
 
 
-def _simulate_frames(config: SystemConfig, frame_keys) -> list:
-    """Tallies of the frames ``frame_keys``, in order.
+# The count columns of a frame's row, ahead of its iteration counts.
+_COUNTS = ("index_bit_errors", "symbol_bit_errors", "pattern_errors", "fallbacks")
+
+
+def _block_sizes(config: SystemConfig) -> tuple[int, int, int]:
+    """What one block scores: its index bits, symbol bits and subblocks."""
+    g = config.geometry
+    bits_per_symbol = config.data_order.bit_length() - 1
+    if config.classical:
+        return 0, (g.block_length - g.preamble_length) * bits_per_symbol, 0
+    return g.index_bits_per_block, g.data_per_block * bits_per_symbol, g.subblocks
+
+
+def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the frames ``frame_keys``, one row per frame, in order.
 
     ``frame_keys`` holds one ``(point, trial)`` pair per frame: the index of
     its SNR point in ``config.ebn0_db`` and its trial number there.  Frames
@@ -506,11 +497,15 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> list:
     (:func:`_draw_frames`), and then ``standard_normal`` pairs for the
     initial preamble (flexible schemes) and for each block in turn, which
     become unit-variance complex noise scaled to the block's received power.
-    So a frame's tally does not depend on the frames it runs with.
+    So a frame's rows do not depend on the frames it runs with.
 
     The frames run in lockstep: block k of every frame, then block k+1.
     Only the block's assembly and its estimation depend on the scheme;
     propagation, detection and scoring see the whole stack at once.
+
+    Returns int64 counts, columns ``_COUNTS`` then the blocks settled after
+    each of the ``max_iterations`` passes (zero but for proposed_turbo), and
+    float64 ``(mse_num, mse_den)``.
     """
     points, trials = np.asarray(frame_keys, dtype=np.int64).reshape(-1, 2).T
     rngs = [
@@ -529,34 +524,27 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> list:
     classical = config.classical
     turbo = scheme == "proposed_turbo"
     frames = len(rngs)
+    n_index_bits, n_symbol_bits, _ = _block_sizes(config)
     if classical:
         data_const = build_data_alphabet(config.data_order)
         pilots = _unit_preamble(g.preamble_length)
         known = np.tile(np.arange(g.preamble_length), (frames, 1))
-        n_index_bits = 0
-        n_data = g.block_length - g.preamble_length
     else:
         data_const, pilot_const = config.alphabets()
         transmit_power = config.transmit_power()
-        n_index_bits = g.index_bits_per_block
-        n_data = g.data_per_block
         offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
     if scheme == "classical_mmse":
         prior = _mmse_prior(config)
         dnp = config.distortion_level * config.power_gain + rx.noise_variance
 
     rows = np.arange(frames)
-    blocks = g.blocks_per_frame
     bits_per_sub = g.index_bits_per_subblock
-    n_symbol_bits = n_data * data_const.bits_per_symbol
 
-    index_bit_errors = np.zeros(frames, dtype=np.int64)
-    symbol_bit_errors = np.zeros(frames, dtype=np.int64)
-    pattern_errors = np.zeros(frames, dtype=np.int64)
-    fallbacks = np.zeros(frames, dtype=np.int64)
-    mse_num = np.zeros(frames)
-    mse_den = np.zeros(frames)
-    iteration_counts = np.zeros((frames, config.max_iterations), dtype=np.int64)
+    counts = np.zeros((frames, len(_COUNTS) + config.max_iterations), dtype=np.int64)
+    # column views, so each += adds into ``counts``
+    index_bit_errors, symbol_bit_errors, pattern_errors, fallbacks = counts.T[: len(_COUNTS)]
+    iteration_counts = counts[:, len(_COUNTS) :]
+    mse = np.zeros((frames, 2))
 
     phases, steps, bits, all_pilots = _draw_frames(
         rngs, config, n_index_bits + n_symbol_bits, None if classical else pilot_const.points
@@ -575,12 +563,12 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> list:
         h_prior = ls_estimate(init, y_init)
 
     normals = np.empty((frames, g.block_length, 2))
-    for k in range(blocks):
+    for k in range(g.blocks_per_frame):
         h_true = channels[:, k + 1]
         index_bits = bits[:, k, :n_index_bits]
         symbol_bits = bits[:, k, n_index_bits:]
         if classical:
-            data = map_bits_array(symbol_bits, data_const).reshape(frames, n_data)
+            data = map_bits_array(symbol_bits, data_const).reshape(frames, -1)
             symbols = np.concatenate([np.tile(pilots, (frames, 1)), data], axis=1)
         else:
             pilots = all_pilots[:, k]
@@ -626,40 +614,51 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> list:
                 h_hat = ls_estimate(pilots, received)
             is_data = np.ones(y.shape, dtype=bool)
             np.put_along_axis(is_data, positions, False, axis=1)
-            data = y[is_data].reshape(frames, n_data)
+            data = y[is_data].reshape(frames, -1)
             rx_symbol_bits = detect_symbols(data, h_hat, data_const)
 
         symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
-        mse_num += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
-        mse_den += np.sum(np.abs(h_true) ** 2, axis=1)
+        mse[:, 0] += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
+        mse[:, 1] += np.sum(np.abs(h_true) ** 2, axis=1)
 
-    return [
-        FrameTally(
-            frames=1,
-            index_bit_errors=int(index_bit_errors[f]),
-            index_bits=n_index_bits * blocks,
-            symbol_bit_errors=int(symbol_bit_errors[f]),
-            symbol_bits=n_symbol_bits * blocks,
-            mse_num=float(mse_num[f]),
-            mse_den=float(mse_den[f]),
-            pattern_errors=int(pattern_errors[f]),
-            subblocks=0 if classical else g.subblocks * blocks,
-            blocks=blocks,
-            fallbacks=int(fallbacks[f]),
-            iteration_counts=tuple(int(c) for c in iteration_counts[f]) if turbo else (),
-        )
-        for f in range(frames)
-    ]
+    return counts, mse
 
 
-@dataclass(kw_only=True)
-class PointResult(FrameTally):
-    """Aggregated scores for one SNR grid point: its frames' summed
-    :class:`FrameTally` plus where on the grid it sits."""
+@dataclass
+class PointResult:
+    """One SNR grid point: the sums over its frames, and where it sits."""
 
+    frames: int = 0
+    index_bit_errors: int = 0
+    index_bits: int = 0
+    symbol_bit_errors: int = 0
+    symbol_bits: int = 0
+    mse_num: float = 0.0
+    mse_den: float = 0.0
+    pattern_errors: int = 0
+    subblocks: int = 0
+    blocks: int = 0
+    fallbacks: int = 0
+    iteration_counts: tuple = ()
+    _: KW_ONLY
     ebn0_db: float
     gamma: float
     scheme: str
+
+    @property
+    def bit_errors(self) -> int:
+        return self.index_bit_errors + self.symbol_bit_errors
+
+    def _add_frame(self, counts: list, mse_num: float, mse_den: float) -> None:
+        """Add one frame's rows from :func:`_simulate_frames`; iteration
+        counts stay ``()`` for the schemes that keep none."""
+        self.frames += 1
+        for name, count in zip(_COUNTS, counts):
+            setattr(self, name, getattr(self, name) + count)
+        iterations = zip(self.iteration_counts, counts[len(_COUNTS) :])
+        self.iteration_counts = tuple(map(sum, iterations))
+        self.mse_num += mse_num
+        self.mse_den += mse_den
 
     @property
     def ber_index(self) -> float:
@@ -704,23 +703,9 @@ class ExperimentResult:
             props = list(p.iteration_proportions)
             cells = [props[i] if i < len(props) else 0.0 for i in range(3)]
             cells.append(sum(props[3:]) if len(props) > 3 else 0.0)
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(p.ebn0_db),
-                        _fmt(p.gamma),
-                        p.scheme,
-                        _fmt(p.ber_index),
-                        _fmt(p.ber_symbol),
-                        _fmt(p.ber_overall),
-                        _fmt(p.mse),
-                        *(_fmt(c) for c in cells),
-                        str(p.frames),
-                        str(seed),
-                        chash,
-                    ]
-                )
-            )
+            scores = (p.ber_index, p.ber_symbol, p.ber_overall, p.mse, *cells)
+            row = [_fmt(p.ebn0_db), _fmt(p.gamma), p.scheme, *map(_fmt, scores)]
+            rows.append(",".join([*row, str(p.frames), str(seed), chash]))
         return rows
 
 
@@ -728,25 +713,6 @@ def _fmt(value: float) -> str:
     if isinstance(value, float) and math.isnan(value):
         return "nan"
     return f"{value:.9g}"
-
-
-def _add_tallies(a: FrameTally, b: FrameTally) -> FrameTally:
-    """Field-by-field sum; iteration counts add per iteration."""
-    sums = {}
-    for f in fields(FrameTally):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        sums[f.name] = tuple(map(operator.add, x, y)) if isinstance(x, tuple) else x + y
-    return FrameTally(**sums)
-
-
-def _merge_point(config: SystemConfig, ebn0_db: float, tallies: list) -> PointResult:
-    """One point's sums over its frames, added in frame order."""
-    return PointResult(
-        ebn0_db=ebn0_db,
-        gamma=config.gamma,
-        scheme=config.scheme,
-        **asdict(reduce(_add_tallies, tallies)),
-    )
 
 
 def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
@@ -758,17 +724,23 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
     as one lockstep stack of ``(point, trial)`` rows, points in grid order
     and frames in trial order.  The stack is cut into contiguous chunks,
     one per worker and more where a chunk would pass the config's size
-    caps; each point's tallies then merge in frame order, and its early
+    caps; each point adds its frames' rows in frame order, and its early
     stop is decided after the batch.  Given the same (config, seed) the
     output is bit-identical for any worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     active = list(range(len(config.ebn0_db)))
     # No stack has more rows than the first, which holds every point.
-    workers = min(workers, len(active) * min(config.batch_frames, config.trials))
+    workers = min(int(workers), len(active) * min(config.batch_frames, config.trials))
     max_rows = config._max_stack_frames()
-    tallies = [[] for _ in active]
+    iterations = (0,) * config.max_iterations if config.scheme == "proposed_turbo" else ()
+    points = [
+        PointResult(
+            iteration_counts=iterations, ebn0_db=v, gamma=config.gamma, scheme=config.scheme
+        )
+        for v in config.ebn0_db
+    ]
     runner = partial(_simulate_frames, config)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -777,23 +749,25 @@ def run_experiment(config: SystemConfig, workers: int = 1) -> ExperimentResult:
             keys = np.array([(p, t) for p in active for t in range(start, stop)])
             pieces = max(workers, math.ceil(len(keys) / max_rows))
             chunks = [c for c in np.array_split(keys, pieces) if c.size]
-            for chunk, results in zip(chunks, (pool.map if pool else map)(runner, chunks)):
-                for (point, _), tally in zip(chunk, results):
-                    tallies[point].append(tally)
+            results = (pool.map if pool else map)(runner, chunks)
+            for chunk, (counts, mse) in zip(chunks, results):
+                for (p, _), row, sums in zip(chunk.tolist(), counts.tolist(), mse.tolist()):
+                    points[p]._add_frame(row, *sums)
             if config.min_bit_errors:
-                active = [
-                    p for p in active
-                    if sum(t.bit_errors for t in tallies[p]) < config.min_bit_errors
-                ]
+                active = [p for p in active if points[p].bit_errors < config.min_bit_errors]
             if not active:
                 break
     finally:
         if pool is not None:
             pool.shutdown()
-    return ExperimentResult(
-        config=config,
-        points=[_merge_point(config, v, t) for v, t in zip(config.ebn0_db, tallies)],
-    )
+    # what every frame adds alike
+    index_bits, symbol_bits, subblocks = _block_sizes(config)
+    for point in points:
+        point.blocks = config.geometry.blocks_per_frame * point.frames
+        point.index_bits = index_bits * point.blocks
+        point.symbol_bits = symbol_bits * point.blocks
+        point.subblocks = subblocks * point.blocks
+    return ExperimentResult(config=config, points=points)
 
 
 def run_gamma_sweep(

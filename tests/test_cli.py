@@ -127,6 +127,7 @@ def test_gamma_sweep_subcommand(tmp_path):
         (["ber", "--config", "{tmp}/huge_block.json"], "min(batch_frames, trials)"),
         (["ber", "--config", "{tmp}/huge_order.json", "--scheme", "classical_ls"], "data_order"),
         (["ber", "--config", "{tmp}/huge_pilot_order.json"], "pilot_order"),
+        (["fsc", "--block-length", "400000000", "--trials", "1"], "block_length"),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):

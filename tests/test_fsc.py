@@ -29,6 +29,12 @@ def test_geometry_validation():
         FscGeometry(pilot_length=3, cir_length=2)
     with pytest.raises(ValueError):
         FscGeometry(block_length=16, cp_length=4, pilot_length=12)
+    # a block too large for memory fails when it is built
+    FscGeometry(block_length=2**16)
+    with pytest.raises(ValueError, match="block_length"):
+        FscGeometry(block_length=2**16 + 1)
+    with pytest.raises(ValueError, match="block_length"):
+        FscGeometry(block_length=400_000_000)
 
 
 @pytest.mark.parametrize(

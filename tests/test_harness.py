@@ -1,9 +1,11 @@
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +343,69 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert outputs[2] == outputs[0]
 
 
+@pytest.mark.parametrize("workers", [2.5, 3.0, True, False, "2", None])
+def test_workers_must_be_an_integer(workers):
+    # a float used to fail deep in multiprocessing, and True ran as one worker
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_experiment(quiet_config(trials=1), workers=workers)
+
+
+def _pooled_config(scheme, snrs, **options):
+    """A small config over the SNR points ``snrs``, in batches of two."""
+    geometry = {"block_length": 16, "blocks_per_frame": 2, **options.pop("geometry", {})}
+    return SystemConfig(
+        geometry=BlockGeometry(**geometry),
+        scheme=scheme,
+        ebn0_db=snrs,
+        batch_frames=2,
+        **options,
+    )
+
+
+@st.composite
+def _pooled_configs(draw):
+    """A small accepted config over 2-3 SNR points, whose error target may
+    stop its points after different batches."""
+    points = draw(st.integers(2, 3))
+    try:
+        return _pooled_config(
+            draw(st.sampled_from(SCHEMES)),
+            draw(st.lists(st.floats(0.0, 20.0), min_size=points, max_size=points)),
+            geometry=dict(
+                subblocks=draw(st.sampled_from([2, 4])),
+                blocks_per_frame=draw(st.integers(1, 3)),
+            ),
+            trials=draw(st.integers(1, 5)),
+            min_bit_errors=draw(st.sampled_from([0, 1, 10])),
+            dnp_mode=draw(st.sampled_from(DNP_MODES)),
+            max_iterations=draw(st.integers(1, 4)),
+            master_seed=draw(st.integers(0, 2**16)),
+        )
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=6, deadline=None)
+@given(_pooled_configs())
+@example(config=_pooled_config("proposed_turbo", (0.0, 16.0), trials=5, min_bit_errors=10))
+@example(config=_pooled_config("classical_ls", (2.0, 9.0, 20.0), trials=3, min_bit_errors=0))
+@example(config=_pooled_config("classical_mmse", (0.0, 20.0), trials=5, min_bit_errors=5))
+@example(
+    config=_pooled_config(
+        "lower_bound_perfect_pattern", (4.0, 16.0), trials=4, min_bit_errors=1
+    )
+)
+def test_process_pool_gives_the_same_csv_bytes(config):
+    # two workers in a real process pool, against one in this process
+    with tempfile.TemporaryDirectory() as directory:
+        outputs = []
+        for workers in (1, 2):
+            path = Path(directory) / f"workers{workers}.csv"
+            write_csv(run_experiment(config, workers=workers), path)
+            outputs.append(path.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 class SerialExecutor:
     """Stands in for ``ProcessPoolExecutor``: records the pool size asked
     for and the ``(point, trial)`` chunks handed to ``map``, and runs
@@ -477,9 +542,13 @@ def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
     cfg = quiet_config(**overrides)
     cfg = replace(cfg, ebn0_db=(20.0,) + cfg.ebn0_db)
     keys = [(point, trial) for point in (0, 1) for trial in range(5)]
-    together = _simulate_frames(cfg, keys)
-    for key, tally in zip(keys, together):
-        assert _simulate_frames(cfg, [key]) == [tally]
+    counts, mse = _simulate_frames(cfg, keys)
+    assert counts.dtype == np.int64 and counts.shape == (10, 4 + cfg.max_iterations)
+    assert mse.dtype == np.float64 and mse.shape == (10, 2)
+    for row, key in enumerate(keys):
+        alone = _simulate_frames(cfg, [key])
+        assert np.array_equal(alone[0], counts[row : row + 1])
+        assert np.array_equal(alone[1], mse[row : row + 1])
 
 
 def _split_run(scheme, snrs, frames, cuts, **options):
@@ -547,16 +616,19 @@ def _split_runs(draw):
     )
 )
 def test_contiguous_splits_give_the_same_tallies(run):
-    # The worker-invariance contract without a process pool: a frame's tally
-    # depends only on its own stream and point, not on the frames it runs
+    # The worker-invariance contract without a process pool: a frame's rows
+    # depend only on its own stream and point, not on the frames it runs
     # with, whether of its own point or of others at other SNRs.
     config, keys, chunks = run
     together = _simulate_frames(config, keys)
-    split = [t for chunk in chunks for t in _simulate_frames(config, chunk)]
-    assert split == together
+    split = [_simulate_frames(config, chunk) for chunk in chunks]
+    for rows, parts in zip(together, zip(*split)):
+        assert np.array_equal(np.concatenate(parts), rows)
     for point in range(len(config.ebn0_db)):
         alone = _simulate_frames(config, [k for k in keys if k[0] == point])
-        assert alone == [t for k, t in zip(keys, together) if k[0] == point]
+        mine = [k[0] == point for k in keys]
+        for rows, own in zip(together, alone):
+            assert np.array_equal(own, rows[mine])
 
 
 def test_noiseless_ideal_hardware_is_error_free():
