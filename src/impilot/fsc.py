@@ -11,11 +11,11 @@ payload and picks the correlation peak.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .im_codec import UnmappedPatternError
+from .im_codec import UnmappedPatternError, _check_integer_fields
 
 __all__ = [
     "SpectralNullError",
@@ -55,6 +55,7 @@ class FscGeometry:
     pilot_length: int = 8
 
     def __post_init__(self):
+        _check_integer_fields(self, [f.name for f in fields(self)])
         if self.block_length > _MAX_BLOCK_LENGTH:
             raise ValueError(
                 f"block_length must be <= {_MAX_BLOCK_LENGTH}, got {self.block_length}"

@@ -3,16 +3,17 @@
 A run sweeps per-bit SNR points for one receiver scheme, simulating frames of
 sequentially-dependent blocks (the channel estimate of block k seeds the
 detection of block k+1).  Frames are independent, so batch b of every SNR
-point still under its error target runs as one lockstep stack: block k of
-every frame goes through the receiver as one stack before block k+1, each
-row with its own point's noise variance.  With several workers, or where
-the config's size caps call for it, the stack is cut into contiguous chunks
-in ``(point, trial)`` order.  Results are a pure function of (config, seed):
-the per-frame random stream is derived from the master seed and the frame's
-``(point, trial)`` coordinates, batches have a fixed size, and each frame
-comes back as one row of counts and one of float sums, which its point adds
-in frame order, so neither the lockstep width nor splitting frames across
-workers can change a single output byte.
+point still under its error target runs as one lockstep stack: a group of
+consecutive blocks of every frame goes through the channel as one stack
+before the next group, each row with its own point's noise variance.  With
+several workers, or where the config's size caps call for it, the stack is
+cut into contiguous chunks in ``(point, trial)`` order.  Results are a pure
+function of (config, seed): the per-frame random stream is derived from the
+master seed and the frame's ``(point, trial)`` coordinates, batches have a
+fixed size, and each frame comes back as one row of counts and one of float
+sums, which its point adds in frame order, so neither the lockstep width,
+the block group nor splitting frames across workers can change a single
+output byte.
 """
 
 import hashlib
@@ -116,6 +117,12 @@ _LINEAR_RANGE = (1e-50, 1e50)
 _MAX_ALPHABET_ORDER = 2**10
 _MAX_BATCH_SAMPLES = 2**24
 _MAX_STEP_DISTANCES = 2**24
+# Rows that one step of the frame loop aims at: over F frames it stacks
+# max(1, _STEP_ROWS // F) consecutive blocks of each frame (fewer where the
+# caps above admit fewer rows), and each frame draws their noise in one
+# call.  More rows cut the per-step overhead of the known-pilot schemes,
+# and raise the peak memory of a step.
+_STEP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -447,6 +454,15 @@ def _draw_frames(rngs, config: SystemConfig, n_bits: int, pilot_points=None):
     return phases, steps, bits, pilots
 
 
+def _draw_noise(rngs, samples: int) -> np.ndarray:
+    """Unit-variance complex noise, (frames, samples): one
+    ``standard_normal`` call of ``samples`` pairs per generator."""
+    normals = np.empty((len(rngs), samples, 2))
+    for f, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[f])
+    return unit_noise(normals)
+
+
 def _unit_preamble(length: int) -> np.ndarray:
     """Known unit-power preamble cycling the axes; rank two for length >= 2."""
     return np.exp(1j * np.pi / 2.0 * np.arange(length))
@@ -495,13 +511,19 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
        values, then the redraws of degenerate pilot sets in block order
 
     (:func:`_draw_frames`), and then ``standard_normal`` pairs for the
-    initial preamble (flexible schemes) and for each block in turn, which
-    become unit-variance complex noise scaled to the block's received power.
-    So a frame's rows do not depend on the frames it runs with.
+    initial preamble (flexible schemes) and then one call for each group of
+    blocks, which become unit-variance complex noise scaled to each block's
+    received power.  One call of ``n * block_length`` pairs draws what
+    ``n`` calls of one block would, so a frame's rows depend neither on the
+    frames it runs with nor on the group size.
 
-    The frames run in lockstep: block k of every frame, then block k+1.
-    Only the block's assembly and its estimation depend on the scheme;
-    propagation, detection and scoring see the whole stack at once.
+    The frames run in lockstep, a group of blocks at a time: the group
+    holds ``_STEP_ROWS // frames`` blocks (at least one, and fewer where the
+    size caps demand it), and every block of it, of every frame, is one row
+    of the stack.  Only the block's assembly and its estimation depend on
+    the scheme.  The known-pilot schemes estimate, detect and score the
+    whole stack at once; proposed_turbo, whose estimate of block k seeds
+    block k+1, receives it one block at a time.
 
     Returns int64 counts, columns ``_COUNTS`` then the blocks settled after
     each of the ``max_iterations`` passes (zero but for proposed_turbo), and
@@ -516,26 +538,27 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     ]
     g = config.geometry
     tx = config.tx_impairments()
-    variances = np.array([config.noise_variance_for(v) for v in config.ebn0_db])
-    rx = RxImpairments(
-        distortion_level=config.distortion_level, noise_variance=variances[points]
-    )
+    variances = np.array([config.noise_variance_for(v) for v in config.ebn0_db])[points]
+    rx = RxImpairments(distortion_level=config.distortion_level, noise_variance=variances)
     scheme = config.scheme
     classical = config.classical
     turbo = scheme == "proposed_turbo"
     frames = len(rngs)
     n_index_bits, n_symbol_bits, _ = _block_sizes(config)
+    # Blocks per group: about _STEP_ROWS rows of (frame, block) pairs, and
+    # one block once the frames alone fill that.
+    group = max(1, min(_STEP_ROWS, config._max_stack_frames()) // max(frames, 1))
     if classical:
         data_const = build_data_alphabet(config.data_order)
         pilots = _unit_preamble(g.preamble_length)
-        known = np.tile(np.arange(g.preamble_length), (frames, 1))
+        known = np.tile(np.arange(g.preamble_length), (frames * group, 1))
     else:
         data_const, pilot_const = config.alphabets()
         transmit_power = config.transmit_power()
         offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
     if scheme == "classical_mmse":
         prior = _mmse_prior(config)
-        dnp = config.distortion_level * config.power_gain + rx.noise_variance
+        dnp = config.distortion_level * config.power_gain + variances
 
     rows = np.arange(frames)
     bits_per_sub = g.index_bits_per_subblock
@@ -552,74 +575,88 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     channels = channel_trajectory(phases, steps, config.fading_mode, tx, config.path_gain)
 
     if not classical:
-        # The flexible schemes open each frame with a known preamble.
+        # The flexible schemes open each frame with a known preamble; only
+        # the turbo receiver uses its estimate, but every one draws its noise.
         init = _unit_preamble(g.init_preamble_length)
-        normals = np.empty((frames, g.init_preamble_length, 2))
-        for f, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[f])
-        y_init = propagate_blocks(
-            np.tile(init, (frames, 1)), channels[:, 0], rx, unit_noise(normals)
-        )
-        h_prior = ls_estimate(init, y_init)
+        noise = _draw_noise(rngs, g.init_preamble_length)
+        if turbo:
+            y_init = propagate_blocks(np.tile(init, (frames, 1)), channels[:, 0], rx, noise)
+            h_prior = ls_estimate(init, y_init)
 
-    normals = np.empty((frames, g.block_length, 2))
-    for k in range(g.blocks_per_frame):
-        h_true = channels[:, k + 1]
-        index_bits = bits[:, k, :n_index_bits]
-        symbol_bits = bits[:, k, n_index_bits:]
+    for start in range(0, g.blocks_per_frame, group):
+        # Rows are (frame, block) pairs of the group, frame-major.
+        n = min(group, g.blocks_per_frame - start)
+        stack = frames * n
+        h_true = channels[:, start + 1 : start + 1 + n].reshape(stack, 2)
+        block_bits = bits[:, start : start + n].reshape(stack, -1)
+        index_bits = block_bits[:, :n_index_bits]
+        symbol_bits = block_bits[:, n_index_bits:]
         if classical:
-            data = map_bits_array(symbol_bits, data_const).reshape(frames, -1)
-            symbols = np.concatenate([np.tile(pilots, (frames, 1)), data], axis=1)
+            data = map_bits_array(symbol_bits, data_const).reshape(stack, -1)
+            symbols = np.concatenate([np.tile(pilots, (stack, 1)), data], axis=1)
         else:
-            pilots = all_pilots[:, k]
+            pilots = all_pilots[:, start : start + n].reshape(stack, -1)
             symbols, true_pattern = assemble_blocks(
                 index_bits, symbol_bits, pilots, g, data_const
             )
-        for f, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[f])
-        y = propagate_blocks(symbols, h_true, rx, unit_noise(normals))
+        noise = _draw_noise(rngs, n * g.block_length).reshape(stack, -1)
+        rx_stack = replace(rx, noise_variance=np.repeat(variances, n))
+        y = propagate_blocks(symbols, h_true, rx_stack, noise)
+        del symbols, noise  # free before the receiver's own arrays
 
         if turbo:
-            result = turbo_receive_frames(
-                y,
-                h_prior,
-                g,
-                data_const,
-                pilot_const,
-                pilots,
-                rx,
-                transmit_power,
-                max_iterations=config.max_iterations,
-                use_stopping=config.use_stopping_rule,
-                dnp_mode=config.dnp_mode,
-            )
-            h_hat = result.channel_estimate
-            h_prior = h_hat
-            rx_symbol_bits = result.symbol_bits
-            iteration_counts[rows, result.iterations - 1] += 1
-            fallbacks += result.ls_fallbacks
-            truth = index_bits.reshape(frames, g.subblocks, bits_per_sub)
-            guess = result.index_bits.reshape(frames, g.subblocks, bits_per_sub)
-            per_sub = (truth != guess).sum(axis=2)
-            per_sub[result.unmapped] = bits_per_sub
-            index_bit_errors += per_sub.sum(axis=1)
-            pattern_errors += np.any(result.pattern != true_pattern, axis=2).sum(axis=1)
+            # Block k's estimate seeds block k + 1, so the group goes one
+            # block at a time: ``at`` holds the rows of one block.
+            h_hat = np.empty((stack, 2), dtype=complex)
+            rx_symbol_bits = np.empty_like(symbol_bits)
+            for at in np.arange(stack).reshape(frames, n).T:
+                result = turbo_receive_frames(
+                    y[at],
+                    h_prior,
+                    g,
+                    data_const,
+                    pilot_const,
+                    pilots[at],
+                    rx,
+                    transmit_power,
+                    max_iterations=config.max_iterations,
+                    use_stopping=config.use_stopping_rule,
+                    dnp_mode=config.dnp_mode,
+                )
+                h_hat[at] = h_prior = result.channel_estimate
+                rx_symbol_bits[at] = result.symbol_bits
+                iteration_counts[rows, result.iterations - 1] += 1
+                fallbacks += result.ls_fallbacks
+                truth = index_bits[at].reshape(frames, g.subblocks, bits_per_sub)
+                guess = result.index_bits.reshape(frames, g.subblocks, bits_per_sub)
+                per_sub = (truth != guess).sum(axis=2)
+                per_sub[result.unmapped] = bits_per_sub
+                index_bit_errors += per_sub.sum(axis=1)
+                pattern_errors += np.any(result.pattern != true_pattern[at], axis=2).sum(axis=1)
         else:
             # Known pilot positions: the preamble, or the true pattern.
-            positions = known if classical else (true_pattern + offsets).reshape(frames, -1)
+            if classical:
+                positions = known[:stack]
+            else:
+                positions = (true_pattern + offsets).reshape(stack, -1)
             received = np.take_along_axis(y, positions, axis=1)
             if scheme == "classical_mmse":
-                h_hat = mmse_estimate(pilots, received, dnp, prior)
+                h_hat = mmse_estimate(pilots, received, np.repeat(dnp, n), prior)
             else:
                 h_hat = ls_estimate(pilots, received)
             is_data = np.ones(y.shape, dtype=bool)
             np.put_along_axis(is_data, positions, False, axis=1)
-            data = y[is_data].reshape(frames, -1)
+            data = y[is_data].reshape(stack, -1)
             rx_symbol_bits = detect_symbols(data, h_hat, data_const)
 
-        symbol_bit_errors += np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
-        mse[:, 0] += np.sum(np.abs(h_hat - h_true) ** 2, axis=1)
-        mse[:, 1] += np.sum(np.abs(h_true) ** 2, axis=1)
+        wrong = np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)
+        symbol_bit_errors += wrong.reshape(frames, n).sum(axis=1)
+        errors = np.sum(np.abs(h_hat - h_true) ** 2, axis=1).reshape(frames, n)
+        powers = np.sum(np.abs(h_true) ** 2, axis=1).reshape(frames, n)
+        # Block by block, the order in which a frame's MSE sums are defined.
+        for j in range(n):
+            mse[:, 0] += errors[:, j]
+            mse[:, 1] += powers[:, j]
 
     return counts, mse
 

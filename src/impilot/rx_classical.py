@@ -137,7 +137,8 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
     ``received`` is ``(rows, n)`` and ``channel_estimate`` ``(rows, 2)``,
     one estimate per row.  Returns the bits, ``(rows, n *
     bits_per_symbol)``.  The decision does not depend on the noise power;
-    ties go to the lowest constellation index.
+    ties go to the lowest constellation index.  The alphabet is scanned one
+    point at a time, so no temporary grows with its size.
     """
     received = _stacked(received)
     h = np.asarray(channel_estimate, dtype=complex)
@@ -147,6 +148,10 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
         raise ValueError("channel estimate must be a non-zero length-2 vector")
     points = constellation.points
     model = points * h[:, :1] + np.conj(points) * h[:, 1:]
-    d2 = np.abs(received[:, :, None] - model[:, None, :]) ** 2
-    idx = np.argmin(d2, axis=-1)
+    best = np.abs(received - model[:, :1]) ** 2
+    idx = np.zeros(received.shape, dtype=np.intp)
+    for i in range(1, points.size):
+        d2 = np.abs(received - model[:, i : i + 1]) ** 2
+        idx[d2 < best] = i
+        np.minimum(best, d2, out=best)
     return constellation.label_bits[idx].reshape(received.shape[0], -1)

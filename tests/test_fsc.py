@@ -38,6 +38,21 @@ def test_geometry_validation():
 
 
 @pytest.mark.parametrize(
+    "field,value", [("block_length", 64.0), ("cir_length", 2.5), ("cp_length", True)]
+)
+def test_geometry_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        FscGeometry(**{field: value})
+
+
+def test_geometry_stores_numpy_integers_as_int():
+    geo = FscGeometry(*(np.int64(v) for v in (64, 2, 4, 8)))
+    assert geo == FscGeometry()
+    assert all(type(v) is int for v in vars(geo).values())
+    assert fsc_index_bits(geo) == fsc_index_bits(FscGeometry())
+
+
+@pytest.mark.parametrize(
     "block,cp,pilot,expected",
     [(64, 4, 8, 5), (64, 8, 16, 5), (20, 4, 8, 2)],
 )

@@ -551,6 +551,52 @@ def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
         assert np.array_equal(alone[1], mse[row : row + 1])
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_frame_rows_do_not_depend_on_the_blocks_per_step(scheme, monkeypatch):
+    # Four frames from two points; seven blocks go one per step, or in
+    # groups of three (the last one short).  Each group's noise is one call
+    # per frame, so the recorded call sizes show the grouping.
+    cfg = quiet_config(
+        scheme=scheme,
+        geometry=BlockGeometry(blocks_per_frame=7),
+        ebn0_db=(2.0, 14.0),
+    )
+    keys = [(point, trial) for point in (0, 1) for trial in (0, 1)]
+    draw_noise = harness._draw_noise
+    sizes = []
+
+    def recording(rngs, samples):
+        sizes.append(samples)
+        return draw_noise(rngs, samples)
+
+    monkeypatch.setattr(harness, "_draw_noise", recording)
+    rows = {}
+    for budget, group in [(4, 1), (12, 3)]:
+        monkeypatch.setattr(harness, "_STEP_ROWS", budget)
+        sizes.clear()
+        rows[group] = _simulate_frames(cfg, keys)
+        g = cfg.geometry
+        blocks = [group] * (7 // group) + [7 % group] * (7 % group > 0)
+        init = [] if cfg.classical else [g.init_preamble_length]
+        assert sizes == init + [n * g.block_length for n in blocks]
+    for one, grouped in zip(rows[1], rows[3]):
+        assert one.dtype == grouped.dtype and one.tobytes() == grouped.tobytes()
+
+
+def test_one_noise_call_draws_what_one_call_per_block_draws():
+    # A frame draws a group of blocks' noise pairs in one call; its stream
+    # must hold the values that one call per block would give, in order.
+    seed = np.random.SeedSequence(entropy=5, spawn_key=(1, 2))
+    blocks, length = 7, 64
+    grouped = np.empty((blocks * length, 2))
+    np.random.default_rng(seed).standard_normal(out=grouped)
+    rng = np.random.default_rng(seed)
+    single = np.empty((blocks, length, 2))
+    for block in single:
+        rng.standard_normal(out=block)
+    assert grouped.tobytes() == single.tobytes()
+
+
 def _split_run(scheme, snrs, frames, cuts, **options):
     """A config over the SNR points ``snrs``, the ``(point, trial)`` keys of
     ``frames`` frames of each point in grid order, and those keys cut at the

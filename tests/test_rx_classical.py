@@ -256,6 +256,23 @@ def test_detect_symbols_stacked_rows():
         detect_symbols(y[0], h[0], const)
 
 
+@pytest.mark.parametrize("order", [2, 4, 16, 64])
+def test_detect_symbols_matches_the_argmin_over_every_point(order):
+    """The point-by-point scan picks what an argmin over the whole distance
+    table picks, exact ties (the origin, midpoints of two points) included."""
+    rng = np.random.default_rng(order)
+    const = build_data_alphabet(order)
+    h = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    h[0] = (1.0, 0.0)
+    y = rng.normal(size=(6, 40)) + 1j * rng.normal(size=(6, 40))
+    p = const.points
+    y[0, :3] = 0.0, (p[0] + p[1]) / 2, (p[-1] + p[-2]) / 2
+    model = p * h[:, :1] + np.conj(p) * h[:, 1:]
+    table = np.abs(y[:, :, None] - model[:, None, :]) ** 2
+    expected = const.label_bits[np.argmin(table, axis=-1)].reshape(6, -1)
+    assert np.array_equal(detect_symbols(y, h, const), expected)
+
+
 @pytest.mark.parametrize("length", [2, 9])
 def test_stacked_estimates_match_one_row_calls_bit_for_bit(length):
     # Nine samples cross numpy's eight-term pairwise-summation boundary.
