@@ -15,6 +15,11 @@ sweep five points whose error target stops them after one, two or three
 batches, so they pin which frames each point runs when points drop out of
 the sweep at different batches.
 
+The ``golden_fsc*.csv`` files are ``impilot fsc`` outputs at a fixed seed:
+the default geometry with 2,000 round trips, and a 128-sample block with a
+three-tap impulse response and a 16-symbol pilot with 500.  They pin the
+per-trial draw order of ``run_fsc_trials`` and every detected start.
+
 ``golden_sums.json`` holds the exact sums behind every row, so a change in
 the last bit of any estimate shows even where the printed digits hide it.
 To regenerate after a deliberate change, call ``write_golden(directory)``
@@ -22,11 +27,12 @@ and say in CHANGES.md why the numbers moved.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from impilot import harness
+from impilot import cli, harness
 from impilot.harness import SystemConfig, run_experiment, write_csv
 from impilot.im_codec import BlockGeometry
 
@@ -82,6 +88,15 @@ CASES = {
 
 SUMS = DATA / "golden_sums.json"
 
+# name -> impilot fsc arguments; the CSV is written to golden_<name>.csv.
+FSC_CASES = {
+    "fsc": ["--trials", "2000", "--seed", "7"],
+    "fsc_128_3_4_16": [
+        "--trials", "500", "--seed", "7", "--block-length", "128",
+        "--cir-length", "3", "--cp-length", "4", "--pilot-length", "16",
+    ],
+}
+
 
 def golden_path(name: str) -> Path:
     return DATA / f"golden_{name}.csv"
@@ -108,6 +123,14 @@ def write_golden(directory) -> None:
         sums[name] = point_sums(result)
     text = json.dumps(sums, indent=1, sort_keys=True) + "\n"
     (Path(directory) / SUMS.name).write_text(text, encoding="utf-8")
+    for name in FSC_CASES:
+        (Path(directory) / golden_path(name).name).write_bytes(run_fsc_case(name))
+
+
+def run_fsc_case(name: str) -> bytes:
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(["fsc", *FSC_CASES[name], "--out", out]) == 0
+        return (Path(out) / "fsc_trials.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +150,11 @@ def test_sums_match_golden_bits(name, results):
     expected = json.loads(SUMS.read_text(encoding="utf-8"))[name]
     got = json.loads(json.dumps(point_sums(results[name])))
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(FSC_CASES))
+def test_fsc_csv_matches_golden_bytes(name):
+    assert run_fsc_case(name) == golden_path(name).read_bytes()
 
 
 def test_rescue_case_adopts_rescue_candidates(monkeypatch):
