@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from impilot import fsc
 from impilot.constellation import build_data_alphabet
 from impilot.fsc import (
     FscGeometry,
@@ -108,6 +111,15 @@ def test_assemble_places_chunk():
     assert np.allclose(block[: geo.cp_length], payload[-geo.cp_length :])
 
 
+def test_prefix_longer_than_the_pilot_wraps_around():
+    geo = FscGeometry(block_length=9, cir_length=1, cp_length=3, pilot_length=2)
+    pilot = np.array([1.0, 2.0j])
+    block = assemble_fsc_block(1, DATA_POINTS[:1], pilot, geo)
+    assert block[geo.cp_length : geo.cp_length + geo.chunk_length].tolist() == [
+        2j, 1, 2j, 1, 2j
+    ]
+
+
 def test_assemble_validation():
     geo = FscGeometry()
     pilot = zadoff_chu(geo.pilot_length)
@@ -185,3 +197,135 @@ def test_round_trip_recovers_start_and_bits():
     for true, detected in pairs:
         if true == detected and detected <= 32:
             assert decode_start_index(detected, geo) == decode_start_index(true, geo)
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.0, 2.5, "3", None, 0, -1])
+def test_trials_must_be_an_integer(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_fsc_trials(FscGeometry(), trials, np.random.default_rng(0), DATA_POINTS)
+
+
+def test_trials_accepts_numpy_integers():
+    pairs = run_fsc_trials(FscGeometry(), np.int64(3), np.random.default_rng(0), DATA_POINTS)
+    assert len(pairs) == 3 and all(type(v) is int for pair in pairs for v in pair)
+
+
+def _accepted(block, cir, cp, pilot):
+    """The geometry rules, restated: what FscGeometry must accept."""
+    return (
+        1 <= cir <= cp
+        and pilot >= 2 * cir
+        and block <= fsc._MAX_BLOCK_LENGTH
+        and block - 2 * cp - pilot + 1 >= 1
+    )
+
+
+@st.composite
+def geometry_fields(draw):
+    """(block, cir, cp, pilot), each drawn near the bound that the ones
+    before it set, so both sides of every rule come up.  Impulse responses
+    stay short, so the property stays fast: random_well_conditioned_cir
+    keeps about a third of its draws at 6 taps, and 0.5-1 % at 16-40."""
+    cir = draw(st.integers(-1, 6))
+    cp = cir + draw(st.integers(-1, 8))
+    pilot = 2 * cir + draw(st.integers(-1, 40))
+    block = 2 * cp + pilot + draw(st.integers(-2, 100))
+    return block, cir, cp, pilot
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=geometry_fields(), trials=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(fields=(16, 2, 4, 8), trials=3, seed=0)  # one candidate, no data
+@example(fields=(64, 4, 4, 8), trials=3, seed=1)  # cir_length == cp_length
+@example(fields=(2**16, 2, 4, 32_760), trials=1, seed=2)  # the size cap
+@example(fields=(2**16 + 1, 2, 4, 8), trials=1, seed=3)
+@example(fields=(8, 1, 3, 2), trials=2, seed=4)  # a prefix longer than the pilot
+def test_every_accepted_geometry_runs(fields, trials, seed):
+    block, cir, cp, pilot = fields
+    if not _accepted(block, cir, cp, pilot):
+        with pytest.raises(ValueError):
+            FscGeometry(block, cir, cp, pilot)
+        return
+    geo = FscGeometry(block, cir, cp, pilot)
+    pairs = run_fsc_trials(geo, trials, np.random.default_rng(seed), DATA_POINTS)
+    assert len(pairs) == trials
+    for true, detected in pairs:
+        assert 1 <= true <= geo.candidates and 1 <= detected <= geo.candidates
+    if geo.candidates == 1:
+        assert fsc_index_bits(geo) == 0 and geo.data_length == 0
+
+
+def _close_rows(stacked, single):
+    scale = max(np.max(np.abs(single)), 1e-300)
+    return np.max(np.abs(stacked - single)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("pilot_length", [8, 40])  # window sums stacked, and row by row
+def test_stacked_chain_equals_one_row_at_a_time(pilot_length):
+    rng = np.random.default_rng(4)
+    geo = FscGeometry(block_length=160, cir_length=3, cp_length=4, pilot_length=pilot_length)
+    pilot = zadoff_chu(geo.pilot_length)
+    chunk = np.concatenate([pilot[-geo.cp_length :], pilot])
+    rows = 9
+    bits = rng.integers(0, 2, (rows, fsc_index_bits(geo)))
+    starts = encode_start_index(bits, geo)
+    data = DATA_POINTS[rng.integers(0, DATA_POINTS.size, (rows, geo.data_length))]
+    taps = np.stack([random_well_conditioned_cir(geo.cir_length, rng) for _ in range(rows)])
+    blocks = assemble_fsc_block(starts, data, pilot, geo)
+    received = apply_cir(blocks, taps)
+    equalized = zf_fde(received, taps, geo.cp_length)
+    noisy = equalized + 0.3 * rng.standard_normal(equalized.shape)
+    correlations = sliding_correlation(noisy, chunk)
+    detected = detect_start_index(correlations)
+    assert blocks.shape == received.shape == (rows, geo.block_length)
+    assert correlations.shape == (rows, geo.candidates)
+    for i in range(rows):
+        assert starts[i] == encode_start_index(bits[i], geo)
+        assert np.array_equal(blocks[i], assemble_fsc_block(int(starts[i]), data[i], pilot, geo))
+        # the 1-D call and numpy's own convolution and correlation
+        assert _close_rows(received[i], apply_cir(blocks[i], taps[i]))
+        assert _close_rows(received[i], np.convolve(blocks[i], taps[i])[: geo.block_length])
+        assert zf_fde(received[i], taps[i], geo.cp_length).tobytes() == equalized[i].tobytes()
+        one = sliding_correlation(noisy[i], chunk)
+        assert _close_rows(correlations[i], one)
+        assert _close_rows(one, np.correlate(np.conj(noisy[i]), np.conj(chunk), "valid"))
+        assert detected[i] == detect_start_index(correlations[i])
+    assert np.array_equal(detected, starts)
+    # zero leading rows are a stack too
+    assert sliding_correlation(noisy[:0], chunk).shape == (0, geo.candidates)
+    assert detect_start_index(correlations[:0]).shape == (0,)
+
+
+def test_stacked_detection_breaks_ties_to_the_smallest_position():
+    stack = np.array([[1.0, 1.0, 0.5], [0.5, 2.0, -2.0], [-3.0, 3j, 3.0], [0.0, 0.0, 0.0]])
+    assert detect_start_index(stack).tolist() == [1, 2, 1, 1]
+
+
+@pytest.mark.parametrize("geo", [FscGeometry(), FscGeometry(128, 3, 4, 16)])
+def test_pairs_do_not_depend_on_the_chunk(geo, monkeypatch):
+    # 20 trials in one chunk, one trial per chunk, or chunks of 7, 7 and 6;
+    # the recorded stack heights show the chunking, and each stack row must
+    # be equalized with its own trial's impulse response.
+    trials = 20
+    whole = run_fsc_trials(geo, trials, np.random.default_rng(9), DATA_POINTS)
+    draw_cir, equalize = fsc.random_well_conditioned_cir, fsc.zf_fde
+    drawn, used, heights = [], [], []
+
+    def drawing(*args):
+        drawn.append(draw_cir(*args))
+        return drawn[-1]
+
+    def recording(received, cir, cp_length):
+        heights.append(received.shape[0])
+        used.extend(cir)
+        return equalize(received, cir, cp_length)
+
+    monkeypatch.setattr(fsc, "random_well_conditioned_cir", drawing)
+    monkeypatch.setattr(fsc, "zf_fde", recording)
+    for per_chunk, expected in [(1, [1] * trials), (7, [7, 7, 6])]:
+        monkeypatch.setattr(fsc, "_CHUNK_SAMPLES", per_chunk * geo.block_length)
+        for record in (drawn, used, heights):
+            record.clear()
+        assert run_fsc_trials(geo, trials, np.random.default_rng(9), DATA_POINTS) == whole
+        assert heights == expected
+        assert np.array_equal(np.array(used), np.array(drawn))
