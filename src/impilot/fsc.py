@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .im_codec import UnmappedPatternError, _check_integer_fields
 
@@ -53,11 +52,6 @@ _MAX_BLOCK_LENGTH = 2**16
 # the default 64-sample block, and one trial of a block at the cap.  The
 # chunk's temporaries take about 1 MB; larger chunks are no faster.
 _CHUNK_SAMPLES = 2**13
-
-# Windows up to this length are summed as one stacked product over a window
-# view; longer windows go row by row through np.correlate, whose BLAS dot
-# per window start is faster there (about 4x at 1,000 taps).
-_STACKED_WINDOW = 32
 
 
 class SpectralNullError(ValueError):
@@ -185,27 +179,19 @@ def assemble_fsc_block(
     return np.concatenate([payload[..., -geometry.cp_length :], payload], axis=-1)
 
 
-def _window_sums(x, v) -> np.ndarray:
-    """sum_k x[..., n + k] * v[..., k] for every window start n on the last
-    axis; ``v`` is one window shared by every row, or one per row."""
-    width = v.shape[-1]
-    if width <= _STACKED_WINDOW:
-        return (sliding_window_view(x, width, axis=-1) @ v[..., None])[..., 0]
-    # np.correlate conjugates its second argument.
-    v = np.conj(v)
-    out = np.empty(x.shape[:-1] + (x.shape[-1] - width + 1,), dtype=complex)
-    for row in np.ndindex(x.shape[:-1]):
-        out[row] = np.correlate(x[row], v if v.ndim == 1 else v[row], mode="valid")
-    return out
-
-
 def apply_cir(signal, taps) -> np.ndarray:
     """Linear convolution with the impulse response, truncated to the block;
-    one response per row of a stack, or one for all rows."""
+    one response per row of a stack, or one for all rows.  Each row is one
+    ``np.convolve`` call."""
     signal = np.asarray(signal, dtype=complex)
     taps = np.asarray(taps, dtype=complex)
-    lead = np.zeros(signal.shape[:-1] + (taps.shape[-1] - 1,), dtype=complex)
-    return _window_sums(np.concatenate([lead, signal], axis=-1), taps[..., ::-1])
+    if taps.ndim > 1 and taps.shape[:-1] != signal.shape[:-1]:
+        raise ValueError(f"expected one impulse response per row, got shape {taps.shape}")
+    out = np.empty_like(signal)
+    for row in np.ndindex(signal.shape[:-1]):
+        row_taps = taps if taps.ndim == 1 else taps[row]
+        out[row] = np.convolve(signal[row], row_taps)[: signal.shape[-1]]
+    return out
 
 
 def zf_fde(received_with_cp, cir, cp_length: int) -> np.ndarray:
@@ -226,12 +212,17 @@ def zf_fde(received_with_cp, cir, cp_length: int) -> np.ndarray:
 
 def sliding_correlation(equalized, pilot_chunk) -> np.ndarray:
     """Correlations R[n] = sum_k p(k) * conj(x(n+k-1)), one per start position
-    and row of the stack."""
+    and row of the stack.  Each row is one ``np.correlate`` call."""
     equalized = np.asarray(equalized, dtype=complex)
     pilot_chunk = np.asarray(pilot_chunk, dtype=complex).reshape(-1)
     if equalized.shape[-1] < pilot_chunk.size:
         raise ValueError("equalized signal shorter than the pilot sequence")
-    return _window_sums(np.conj(equalized), pilot_chunk)
+    conj_equalized, conj_pilot = np.conj(equalized), np.conj(pilot_chunk)
+    candidates = equalized.shape[-1] - pilot_chunk.size + 1
+    out = np.empty(equalized.shape[:-1] + (candidates,), dtype=complex)
+    for row in np.ndindex(equalized.shape[:-1]):
+        out[row] = np.correlate(conj_equalized[row], conj_pilot, mode="valid")
+    return out
 
 
 def detect_start_index(correlations):

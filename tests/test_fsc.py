@@ -255,12 +255,11 @@ def test_every_accepted_geometry_runs(fields, trials, seed):
         assert fsc_index_bits(geo) == 0 and geo.data_length == 0
 
 
-def _close_rows(stacked, single):
-    scale = max(np.max(np.abs(single)), 1e-300)
-    return np.max(np.abs(stacked - single)) <= 1e-12 * scale
+def _same_bytes(*arrays):
+    return len({a.tobytes() for a in arrays}) == 1
 
 
-@pytest.mark.parametrize("pilot_length", [8, 40])  # window sums stacked, and row by row
+@pytest.mark.parametrize("pilot_length", [8, 40])
 def test_stacked_chain_equals_one_row_at_a_time(pilot_length):
     rng = np.random.default_rng(4)
     geo = FscGeometry(block_length=160, cir_length=3, cp_length=4, pilot_length=pilot_length)
@@ -283,14 +282,21 @@ def test_stacked_chain_equals_one_row_at_a_time(pilot_length):
         assert starts[i] == encode_start_index(bits[i], geo)
         assert np.array_equal(blocks[i], assemble_fsc_block(int(starts[i]), data[i], pilot, geo))
         # the 1-D call and numpy's own convolution and correlation
-        assert _close_rows(received[i], apply_cir(blocks[i], taps[i]))
-        assert _close_rows(received[i], np.convolve(blocks[i], taps[i])[: geo.block_length])
-        assert zf_fde(received[i], taps[i], geo.cp_length).tobytes() == equalized[i].tobytes()
-        one = sliding_correlation(noisy[i], chunk)
-        assert _close_rows(correlations[i], one)
-        assert _close_rows(one, np.correlate(np.conj(noisy[i]), np.conj(chunk), "valid"))
+        assert _same_bytes(
+            received[i],
+            apply_cir(blocks[i], taps[i]),
+            np.convolve(blocks[i], taps[i])[: geo.block_length],
+        )
+        assert _same_bytes(equalized[i], zf_fde(received[i], taps[i], geo.cp_length))
+        assert _same_bytes(
+            correlations[i],
+            sliding_correlation(noisy[i], chunk),
+            np.correlate(np.conj(noisy[i]), np.conj(chunk), "valid"),
+        )
         assert detected[i] == detect_start_index(correlations[i])
     assert np.array_equal(detected, starts)
+    with pytest.raises(ValueError, match="one impulse response per row"):
+        apply_cir(blocks[0], taps)
     # zero leading rows are a stack too
     assert sliding_correlation(noisy[:0], chunk).shape == (0, geo.candidates)
     assert detect_start_index(correlations[:0]).shape == (0,)
