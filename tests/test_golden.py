@@ -13,7 +13,9 @@ next two cases cover index demapping: undecodable position sets, and the
 fixed table for two pilots in four positions.  The two ``early_stop`` cases
 sweep five points whose error target stops them after one, two or three
 batches, so they pin which frames each point runs when points drop out of
-the sweep at different batches.
+the sweep at different batches.  The ``proposed_turbo_wide_alphabets``
+case runs 16-point data and 8-point pilot alphabets under quasi-static
+fading, with block power normalized and the stopping rule off.
 
 The ``golden_fsc*.csv`` files are ``impilot fsc`` outputs at a fixed seed:
 the default geometry with 2,000 round trips, and a 128-sample block with a
@@ -83,6 +85,17 @@ CASES = {
     # 12 and 16 dB run to the frame cap.
     "proposed_turbo_early_stop": SystemConfig(scheme="proposed_turbo", **_EARLY_STOP),
     "classical_mmse_early_stop": SystemConfig(scheme="classical_mmse", **_EARLY_STOP),
+    # Sixteen data candidates take the ratio's numpy sum over eight or more
+    # entries, and the stopping rule is off.
+    "proposed_turbo_wide_alphabets": SystemConfig(
+        scheme="proposed_turbo",
+        data_order=16,
+        pilot_order=8,
+        fading_mode="quasi_static",
+        use_stopping_rule=False,
+        normalize_block_power=True,
+        **_COMMON,
+    ),
 }
 
 
