@@ -609,6 +609,11 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
             # block at a time: ``at`` holds the rows of one block.
             h_hat = np.empty((stack, 2), dtype=complex)
             rx_symbol_bits = np.empty_like(symbol_bits)
+            rx_index_bits = np.empty_like(index_bits)
+            rx_pattern = np.empty_like(true_pattern)
+            unmapped = np.empty((stack, g.subblocks), dtype=bool)
+            iterations = np.empty(stack, dtype=np.int64)
+            block_fallbacks = np.empty(stack, dtype=np.int64)
             for at in np.arange(stack).reshape(frames, n).T:
                 result = turbo_receive_frames(
                     y[at],
@@ -625,14 +630,22 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
                 )
                 h_hat[at] = h_prior = result.channel_estimate
                 rx_symbol_bits[at] = result.symbol_bits
-                iteration_counts[rows, result.iterations - 1] += 1
-                fallbacks += result.ls_fallbacks
-                truth = index_bits[at].reshape(frames, g.subblocks, bits_per_sub)
-                guess = result.index_bits.reshape(frames, g.subblocks, bits_per_sub)
-                per_sub = (truth != guess).sum(axis=2)
-                per_sub[result.unmapped] = bits_per_sub
-                index_bit_errors += per_sub.sum(axis=1)
-                pattern_errors += np.any(result.pattern != true_pattern[at], axis=2).sum(axis=1)
+                rx_index_bits[at] = result.index_bits
+                rx_pattern[at] = result.pattern
+                unmapped[at] = result.unmapped
+                iterations[at] = result.iterations
+                block_fallbacks[at] = result.ls_fallbacks
+            # The receiver's counts are integers, so the group's blocks are
+            # scored at once, in any order.
+            np.add.at(iteration_counts, (np.repeat(rows, n), iterations - 1), 1)
+            fallbacks += block_fallbacks.reshape(frames, n).sum(axis=1)
+            truth = index_bits.reshape(stack, g.subblocks, bits_per_sub)
+            guess = rx_index_bits.reshape(stack, g.subblocks, bits_per_sub)
+            per_sub = (truth != guess).sum(axis=2)
+            per_sub[unmapped] = bits_per_sub
+            index_bit_errors += per_sub.reshape(frames, -1).sum(axis=1)
+            wrong_sub = np.any(rx_pattern != true_pattern, axis=2)
+            pattern_errors += wrong_sub.reshape(frames, -1).sum(axis=1)
         else:
             # Known pilot positions: the preamble, or the true pattern.
             if classical:

@@ -1,6 +1,8 @@
 """Baseline receivers: preamble-based LS / linear-MMSE channel estimation and
 per-symbol maximum-likelihood detection under the two-entry channel model."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .constellation import Constellation
@@ -48,6 +50,43 @@ def _normal_terms(pilots, received):
     return _pilot_terms(pilots) + _received_terms(pilots, received)
 
 
+class _LsPilotPart(NamedTuple):
+    """The pilot-only half of :func:`two_path_ls`: what the solve needs from
+    ``a`` and ``s2`` alone, so that fits of one pilot set to many received
+    sets form it once.  ``solve`` is the received half."""
+
+    a: np.ndarray
+    conj_s2: np.ndarray
+    neg_s2: np.ndarray
+    safe_det: np.ndarray
+    safe_a: np.ndarray
+    solvable: np.ndarray
+
+    @classmethod
+    def from_terms(cls, a, s2) -> "_LsPilotPart":
+        det = a**2 - np.abs(s2) ** 2
+        solvable = det > 1e-12 * a**2
+        safe_det = np.where(solvable, det, 1.0)
+        return cls(a, np.conj(s2), -s2, safe_det, np.where(a > 0, a, 1.0), solvable)
+
+    def take(self, index) -> "_LsPilotPart":
+        """The part of the rows ``index`` of the leading axis."""
+        return _LsPilotPart(*(t[index] for t in self))
+
+    def solve(self, r1, r2):
+        """:func:`two_path_ls` for received terms that broadcast against
+        this part."""
+        h_direct = (self.a * r1 - self.conj_s2 * r2) / self.safe_det
+        estimates = np.empty(h_direct.shape + (2,), dtype=complex)
+        estimates[..., 0] = h_direct
+        np.divide(self.neg_s2 * r1 + self.a * r2, self.safe_det, out=estimates[..., 1])
+        if not self.solvable.all():
+            # The direct-path-only fit, where both paths cannot be resolved.
+            estimates[..., 0] = np.where(self.solvable, h_direct, r1 / self.safe_a)
+            estimates[..., 1] = np.where(self.solvable, estimates[..., 1], 0.0)
+        return estimates, self.solvable
+
+
 def two_path_ls(a, s2, r1, r2):
     """Closed-form solve of the two-path normal equations, broadcast over any
     leading axes of the :func:`_normal_terms` output.
@@ -57,14 +96,7 @@ def two_path_ls(a, s2, r1, r2):
     collinear with their conjugates) cannot resolve both coefficients and get
     the direct-path-only fit ``(r1 / a, 0)``, zero for all-zero pilots.
     """
-    det = a**2 - np.abs(s2) ** 2
-    solvable = det > 1e-12 * a**2
-    safe_det = np.where(solvable, det, 1.0)
-    h_direct = np.where(
-        solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / np.where(a > 0, a, 1.0)
-    )
-    h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
-    return np.stack([h_direct, h_image], axis=-1), solvable
+    return _LsPilotPart.from_terms(a, s2).solve(r1, r2)
 
 
 def solve_two_path_ls(pilots, received):
@@ -138,7 +170,8 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
     one estimate per row.  Returns the bits, ``(rows, n *
     bits_per_symbol)``.  The decision does not depend on the noise power;
     ties go to the lowest constellation index.  The alphabet is scanned one
-    point at a time, so no temporary grows with its size.
+    point at a time, through one difference and one distance buffer, so no
+    temporary grows with its size.
     """
     received = _stacked(received)
     h = np.asarray(channel_estimate, dtype=complex)
@@ -148,10 +181,15 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
         raise ValueError("channel estimate must be a non-zero length-2 vector")
     points = constellation.points
     model = points * h[:, :1] + np.conj(points) * h[:, 1:]
-    best = np.abs(received - model[:, :1]) ** 2
+    diff = np.subtract(received, model[:, :1])
+    best = np.square(np.abs(diff))
+    d2 = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
     idx = np.zeros(received.shape, dtype=np.intp)
     for i in range(1, points.size):
-        d2 = np.abs(received - model[:, i : i + 1]) ** 2
-        idx[d2 < best] = i
+        np.subtract(received, model[:, i : i + 1], out=diff)
+        np.square(np.abs(diff, out=d2), out=d2)
+        np.less(d2, best, out=closer)
+        idx[closer] = i
         np.minimum(best, d2, out=best)
     return constellation.label_bits[idx].reshape(received.shape[0], -1)

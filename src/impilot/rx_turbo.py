@@ -24,6 +24,12 @@ screen flags only.  Pilot patterns are 0-based offsets, one row per frame,
 and index words are read from them by
 :func:`impilot.im_codec.demap_patterns`.  Every row carries the same bits as
 if its block were processed alone, as a stack of one.
+
+A call forms once what its iterations share: the pilot-only half of every
+least-squares fit (:class:`impilot.rx_classical._LsPilotPart`), the rows'
+noise and prior terms, and, for the screen and the final detection, one
+gather of each pattern's data samples.  Inside the iteration the live rows'
+inputs are taken again only when rows leave.
 """
 
 import functools
@@ -35,13 +41,7 @@ import numpy as np
 from .constellation import Constellation
 from .im_codec import BlockGeometry, demap_patterns
 from .impairments import RxImpairments
-from .rx_classical import (
-    _normal_terms,
-    _pilot_terms,
-    _received_terms,
-    detect_symbols,
-    two_path_ls,
-)
+from .rx_classical import _LsPilotPart, _pilot_terms, _received_terms, detect_symbols
 
 # Not called here; kept because perfbench/tracing.py WRAPPED wraps both
 # names on this module.
@@ -81,15 +81,20 @@ def _flag_quantile(dof: int) -> float:
     return hi
 
 
-def _dnp(rx: RxImpairments, received_power):
+def _dnp(distortion_level: float, noise_variance, received_power):
     """Distortion-plus-noise power at a received signal power: the power
     times the distortion level, plus thermal noise, floored for numerical
-    stability.  A per-row ``rx.noise_variance`` is broadcast along the
-    leading (row) axis of ``received_power``."""
-    power = np.asarray(received_power, dtype=float)
-    noise = np.asarray(rx.noise_variance, dtype=float)
-    noise = noise.reshape(noise.shape + (1,) * (power.ndim - noise.ndim))
-    return np.maximum(rx.distortion_level * power + noise, DNP_FLOOR)
+    stability.  A per-row ``noise_variance`` is broadcast along the leading
+    (row) axis of ``received_power``."""
+    noise = np.asarray(noise_variance, dtype=float)
+    noise = noise.reshape(noise.shape + (1,) * (np.ndim(received_power) - noise.ndim))
+    return np.maximum(distortion_level * received_power + noise, DNP_FLOOR)
+
+
+def _estimate_dnp(channel_estimate, distortion_level, noise_variance, transmit_power):
+    """:func:`prior_dnp` with the receiver impairments as plain values."""
+    power = (np.abs(channel_estimate) ** 2).sum(axis=-1) * transmit_power
+    return _dnp(distortion_level, noise_variance, power)
 
 
 def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
@@ -97,31 +102,39 @@ def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     received-power prediction.  Estimates stacked on leading axes give one
     value each; a per-row ``rx.noise_variance`` holds one value per entry
     of the first axis."""
-    power = np.sum(np.abs(np.asarray(channel_estimate)) ** 2, axis=-1) * transmit_power
-    return _dnp(rx, power)
+    return _estimate_dnp(
+        np.asarray(channel_estimate), rx.distortion_level, rx.noise_variance, transmit_power
+    )
 
 
 def _neg_lse(d2: np.ndarray, dnp) -> np.ndarray:
     """log sum_k exp(-d2[k] / dnp) over the leading (candidate) axis,
     max-shifted for stability.
 
-    Each candidate's distances are one contiguous slab, so the minimum and
-    the sum over candidates are a few elementwise operations.  They give the
-    bits of numpy's reductions over a last axis: the minimum is exact, and
-    numpy adds fewer than eight entries in order but more of them pairwise,
-    so more than seven candidates go to numpy's own sum.
+    The results have the bits of numpy's reductions over a last candidate
+    axis.  The minimum is exact in any order.  A sum over the leading axis
+    adds the candidates in order, as numpy's sum over a last axis does for
+    fewer than eight entries; from eight on, numpy adds them pairwise, so
+    those sums run over a last axis.
     """
-    m = d2[0]
-    for k in range(1, d2.shape[0]):
-        m = np.minimum(m, d2[k])
-    shifted = np.exp((m - d2) / dnp)
+    m = d2.min(axis=0)
+    shifted = (m - d2) / dnp
+    np.exp(shifted, out=shifted)
     if shifted.shape[0] >= 8:
         total = np.ascontiguousarray(np.moveaxis(shifted, 0, -1)).sum(axis=-1)
     else:
-        total = shifted[0]
-        for k in range(1, shifted.shape[0]):
-            total = total + shifted[k]
+        total = shifted.sum(axis=0)
     return -m / dnp + np.log(total)
+
+
+@functools.lru_cache(maxsize=8)
+def _candidates(pilot_alphabet: Constellation, data_alphabet: Constellation):
+    """Every pilot point, then every data point, and their conjugates."""
+    points = np.concatenate([pilot_alphabet.points, data_alphabet.points])
+    conj_points = np.conj(points)
+    points.setflags(write=False)
+    conj_points.setflags(write=False)
+    return points, conj_points
 
 
 def llr_values(
@@ -142,13 +155,11 @@ def llr_values(
     if not 1 <= pilots_per_subblock < subblock_length:
         raise ValueError("need 1 <= pilots_per_subblock < subblock_length")
     dnp_arr = np.asarray(dnp, dtype=float)
-    if np.any(dnp_arr <= 0):
+    if (dnp_arr <= 0).any():
         raise ValueError("distortion-plus-noise power must be positive")
 
-    channel = np.asarray(channel, dtype=complex)
+    h = np.asarray(channel, dtype=complex)
     y = np.asarray(received, dtype=complex)
-    shape = np.broadcast_shapes(y.shape, channel.shape[:-1], dnp_arr.shape)
-    h = channel.reshape((1,) * (len(shape) + 1 - channel.ndim) + channel.shape)
 
     prior = math.log(
         pilots_per_subblock
@@ -157,17 +168,21 @@ def llr_values(
     )
     # Squared distances to every pilot candidate, then every data candidate,
     # on a leading candidate axis.
-    points = np.concatenate([pilot_alphabet.points, data_alphabet.points])
-    points = points.reshape((-1,) + (1,) * len(shape))
-    d2 = np.abs(y - (h[..., 0] * points + h[..., 1] * np.conj(points))) ** 2
-    dnp_arr = np.broadcast_to(dnp_arr, shape)
+    ndim = max(y.ndim, h.ndim - 1, dnp_arr.ndim)
+    points, conj_points = (
+        p.reshape((-1,) + (1,) * ndim) for p in _candidates(pilot_alphabet, data_alphabet)
+    )
+    d2 = np.abs(y - (h[..., 0] * points + h[..., 1] * conj_points))
+    np.square(d2, out=d2)
     n_pilot = pilot_alphabet.order
     return prior + _neg_lse(d2[:n_pilot], dnp_arr) - _neg_lse(d2[n_pilot:], dnp_arr)
 
 
 def _top_positions(eta: np.ndarray, pilots_per_subblock: int) -> np.ndarray:
     """0-based positions of the largest ratios along the last axis, ascending;
-    ties favour the smaller position."""
+    ties favour the smaller position, as ``argmax`` does for one pilot."""
+    if pilots_per_subblock == 1:
+        return np.argmax(eta, axis=-1)[..., None]
     order = np.argsort(-eta, axis=-1, kind="stable")[..., :pilots_per_subblock]
     order.sort(axis=-1)
     return order
@@ -263,10 +278,12 @@ def turbo_receive_frames(
     n_sub = geometry.subblocks
     sub_len = geometry.subblock_length
     per_sub = geometry.pilots_per_subblock
+    n_pilots, n_data = geometry.pilots_per_block, geometry.data_per_block
 
     y = np.asarray(received, dtype=complex).reshape(-1, n_sub, sub_len)
     frames = y.shape[0]
     pvals = np.asarray(pilot_values, dtype=complex).reshape(frames, n_sub, per_sub)
+    flat_pilots = pvals.reshape(frames, -1)
     prior = np.asarray(prior_estimates, dtype=complex).reshape(frames, 2)
     y_flat = y.reshape(frames, -1)
     offsets = np.arange(n_sub)[:, None] * sub_len
@@ -278,46 +295,56 @@ def turbo_receive_frames(
     noise = np.broadcast_to(np.asarray(rx.noise_variance, dtype=float), (frames,))
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
+    # The pilot halves of the LS fits depend on the pilot values alone, so
+    # they are formed once per block: one per subblock for the extrinsic
+    # fits, from every other subblock's pilots, and one for the fit over all
+    # of a row's pilots.
+    extrinsic = _LsPilotPart.from_terms(*_leave_own_out(_pilot_terms(pvals)))
+    joint = _LsPilotPart.from_terms(*_pilot_terms(flat_pilots))
+    # Direct-path-only fallbacks that each extrinsic update of a row takes.
+    extrinsic_fallbacks = n_sub - np.count_nonzero(extrinsic.solvable, axis=-1)
     fallbacks = np.zeros(frames, dtype=np.int64)
-    # The extrinsic fits' pilot terms depend on the pilot values alone, so
-    # they and their leave-own-out totals are formed once per block.
-    a_ex, s2_ex = _leave_own_out(_pilot_terms(pvals))
 
     def run_pass(rows, pattern):
         """Update the patterns of ``rows`` until each reaches a fixed point,
         a period-two oscillation or the budget.  Returns (pattern,
-        iterations, converged, oscillating, cycle_mate), one entry per row."""
+        iterations, converged, oscillating, cycle_mate), one entry per row.
+
+        The live rows' inputs (``ex``, ``values``, ``samples``, ``dnp``) and
+        last two patterns (``current``, ``previous``) are kept compact, in
+        the order of ``live``, and shrink only when rows leave."""
+        current = previous = pattern
         pattern = pattern.copy()
-        previous = pattern.copy()
         cycle_mate = pattern.copy()
         iterations = np.zeros(rows.size, dtype=np.int64)
         converged = np.zeros(rows.size, dtype=bool)
         oscillating = np.zeros(rows.size, dtype=bool)
         live = np.arange(rows.size)
+        ex = extrinsic.take(rows)
+        values, samples = pvals[rows], y[rows]
+        dnp = dnp_prior[rows, None, None] if dnp_mode == "prior" else noise[rows]
         for step in range(1, max_iterations + 1):
             if not live.size:
                 break
-            r = rows[live]
-            current = pattern[live]
-            iterations[live] = step
             # The extrinsic set for subblock g is every subblock's pilot
             # pairs but g's own.  Fitting the direct path alone where it is
             # degenerate keeps the update extrinsic and avoids freezing the
             # subblock on a stale prior, which would be a wrong fixed point.
+            # ``starts`` of the first rows indexes the compact ``samples``.
             received_ex = _leave_own_out(
-                _received_terms(pvals[r], y_flat.flat[starts[r] + current])
+                _received_terms(values, samples.flat[starts[: live.size] + current])
             )
-            h_ex, solvable = two_path_ls(a_ex[r], s2_ex[r], *received_ex)
-            fallbacks[r] += n_sub - np.count_nonzero(solvable, axis=-1)
+            h_ex = ex.solve(*received_ex)[0]
 
             if dnp_mode == "prior":
-                dnp_iter = dnp_prior[r][:, None, None]
+                dnp_iter = dnp
             else:
-                rx_rows = RxImpairments(rx.distortion_level, noise[r])
-                dnp_iter = prior_dnp(h_ex, rx_rows, transmit_power)[..., None]
+                dnp_iter = _estimate_dnp(
+                    h_ex, rx.distortion_level, dnp, transmit_power
+                )[..., None]
 
             eta = llr_values(
-                y[r],
+                samples,
                 h_ex[:, :, None, :],
                 data_alphabet,
                 pilot_alphabet,
@@ -330,22 +357,33 @@ def turbo_receive_frames(
             # only on (pattern, y), so further passes cannot change anything
             # and the row may leave either way.  With the stopping rule off,
             # the reported count is the full budget the run is equivalent to.
-            fixed = np.all(new_pattern == current, axis=(1, 2))
+            fixed = (new_pattern == current).all(axis=(1, 2))
+            leaving = fixed
             # Simultaneous subblock updates can settle into a period-two
             # oscillation; both phases are then fixed points of the two-step
             # map, and the caller arbitrates between them.
-            cycle = np.zeros_like(fixed)
             if step >= 3:
-                cycle = ~fixed & np.all(new_pattern == previous[live], axis=(1, 2))
-            converged[live[fixed]] = True
-            mates = live[cycle]
-            oscillating[mates] = True
-            cycle_mate[mates] = current[cycle]
-            pattern[mates] = new_pattern[cycle]
-            moving = ~(fixed | cycle)
-            live = live[moving]
-            previous[live] = current[moving]
-            pattern[live] = new_pattern[moving]
+                cycle = ~fixed & (new_pattern == previous).all(axis=(1, 2))
+                if cycle.any():
+                    mates = live[cycle]
+                    oscillating[mates] = True
+                    cycle_mate[mates] = current[cycle]
+                    leaving = fixed | cycle
+            if leaving.any():
+                gone = live[leaving]
+                iterations[gone] = step
+                converged[live[fixed]] = True
+                # A fixed point's new pattern is its current one.
+                pattern[gone] = new_pattern[leaving]
+                moving = ~leaving
+                live, previous, current = live[moving], current[moving], new_pattern[moving]
+                ex = ex.take(moving)
+                values, samples, dnp = values[moving], samples[moving], dnp[moving]
+            else:
+                previous, current = current, new_pattern
+        iterations[live] = max_iterations
+        pattern[live] = current
+        fallbacks[rows] += iterations * extrinsic_fallbacks[rows]
         if not use_stopping:
             iterations[:] = max_iterations
         # An oscillating pattern never satisfies the stopping criterion, so
@@ -353,61 +391,80 @@ def turbo_receive_frames(
         iterations[oscillating] = max_iterations
         return pattern, iterations, converged, oscillating, cycle_mate
 
-    def pilot_pairs(rows, pattern):
-        """Known pilot values and the samples at the detected positions,
-        (rows, pilots_per_block) each, in subblock order."""
-        shape = (rows.size, geometry.pilots_per_block)
-        values = pvals[rows].reshape(shape)
-        samples = y_flat.flat[starts[rows] + pattern].reshape(shape)
-        return values, samples
+    def pilot_samples(rows, patterns):
+        """The samples at each pattern's pilot positions, in subblock order:
+        (rows, ..., pilots_per_block) for patterns (rows, ..., subblocks,
+        pilots)."""
+        index = starts[rows].reshape((rows.size,) + (1,) * (patterns.ndim - 3) + (n_sub, 1))
+        return y_flat.flat[index + patterns].reshape(patterns.shape[:-2] + (n_pilots,))
+
+    # A subblock's j-th data position is j plus the number of its pilots p_k
+    # (k-th smallest, from 0) with p_k - k <= j, for sorted patterns.
+    data_rank = np.arange(sub_len - per_sub)
+    pilot_rank = np.arange(per_sub)
+
+    def data_samples(rows, patterns):
+        """The samples at each pattern's data positions, in block order:
+        (rows, candidates, data_per_block) for patterns (rows, candidates,
+        subblocks, pilots)."""
+        before = np.count_nonzero((patterns - pilot_rank)[..., None] <= data_rank, axis=-2)
+        index = starts[rows][:, None] + data_rank + before
+        return y_flat.flat[index].reshape(patterns.shape[:2] + (n_data,))
 
     def final_fit(rows, pattern):
         """LS over all detected pilot positions, with a direct-path-only fit
         for degenerate pilot sets.  Returns (estimates, fell_back)."""
-        estimates, solvable = two_path_ls(*_normal_terms(*pilot_pairs(rows, pattern)))
+        terms = _received_terms(flat_pilots[rows], pilot_samples(rows, pattern))
+        estimates, solvable = joint.take(rows).solve(*terms)
         return estimates, ~solvable
 
-    def leave_one_out_fits(rows, pattern):
+    def leave_one_out_fits(rows, patterns):
         """LS fits with one claimed pilot pair excluded, one per pair:
-        (rows, pilots_per_block, 2).
+        (rows, candidates, pilots_per_block, 2) for patterns (rows,
+        candidates, subblocks, pilots).
 
         A single wrongly-claimed position drags the joint fit enough to mask
         its own residual, so the rescue candidates re-solve without each pair
         in turn and let the whole-block residual arbitrate.
         """
-        values, samples = pilot_pairs(rows, pattern)
-        terms = _normal_terms(values[..., None], samples[..., None])
-        return two_path_ls(*_leave_own_out(terms))[0]
+        values = flat_pilots[rows][..., None]
+        pilot_part = _LsPilotPart.from_terms(*_leave_own_out(_pilot_terms(values)))
+        terms = _received_terms(values[:, None], pilot_samples(rows, patterns)[..., None])
+        return pilot_part.take(np.s_[:, None]).solve(*_leave_own_out(terms))[0]
 
     def joint_residual(rows, patterns, estimates):
         """Squared residual of each row's block under each of its candidate
         (pattern, estimate) pairs, with data positions explained by their
         best alphabet candidate.  ``patterns`` is (rows, candidates,
-        subblocks, pilots), ``estimates`` (rows, candidates, 2)."""
-        shape = patterns.shape[:2]
-        positions = starts[rows][:, None] + patterns
-        samples = y_flat.flat[positions].reshape(*shape, -1)
-        flat = pvals[rows].reshape(rows.size, 1, -1)
+        subblocks, pilots), ``estimates`` (rows, candidates, 2).  Returns
+        the residuals (rows, candidates) and the data samples of each
+        candidate (rows, candidates, data_per_block)."""
+        samples = pilot_samples(rows, patterns)
+        flat = flat_pilots[rows][:, None]
         h0, h1 = estimates[..., :1], estimates[..., 1:]
         pilot_model = flat * h0 + np.conj(flat) * h1
         residual = np.sum(np.abs(samples - pilot_model) ** 2, axis=-1)
-        data = np.ones(shape + (geometry.block_length,), dtype=bool)
-        np.put_along_axis(data, (patterns + offsets).reshape(*shape, -1), False, axis=-1)
-        y_data = np.broadcast_to(y_flat[rows][:, None], data.shape)[data].reshape(*shape, -1)
-        # Nearest data candidate, one alphabet point at a time, which keeps
-        # the temporaries at (rows, candidates, data samples).
-        nearest = None
-        for point in data_alphabet.points:
-            d2 = np.abs(y_data - (point * h0 + np.conj(point) * h1)) ** 2
-            nearest = d2 if nearest is None else np.minimum(nearest, d2)
-        return residual + np.sum(nearest, axis=-1)
+        y_data = data_samples(rows, patterns)
+        # Nearest data candidate, one alphabet point at a time through two
+        # buffers, which keeps the temporaries at (rows, candidates, data
+        # samples).
+        points = data_alphabet.points[:, None, None, None]
+        models = points * h0 + np.conj(points) * h1
+        nearest = np.full(y_data.shape, np.inf)
+        diff = np.empty_like(y_data)
+        d2 = np.empty(y_data.shape)
+        for model in models:
+            np.subtract(y_data, model, out=diff)
+            np.square(np.abs(diff, out=d2), out=d2)
+            np.minimum(nearest, d2, out=nearest)
+        return residual + np.sum(nearest, axis=-1), y_data
 
     measured_power = np.maximum(
         (np.mean(np.abs(y_flat) ** 2, axis=-1) - noise)
         / (1.0 + rx.distortion_level),
         0.0,
     )
-    dnp_measured = _dnp(rx, measured_power)
+    dnp_measured = _dnp(rx.distortion_level, noise, measured_power)
 
     every = np.arange(frames)
     eta = llr_values(
@@ -424,19 +481,23 @@ def turbo_receive_frames(
     )
     h_final, fell_back = final_fit(every, pattern)
     fallbacks += fell_back
-    residual = joint_residual(every, pattern[:, None], h_final[:, None])[:, 0]
+    residual, y_data = joint_residual(every, pattern[:, None], h_final[:, None])
+    residual, y_data = residual[:, 0], y_data[:, 0]
     restarted = np.zeros(frames, dtype=bool)
 
     rows = np.flatnonzero(oscillating)
     if rows.size:
         mate_h, fell_back = final_fit(rows, cycle_mate[rows])
         fallbacks[rows] += fell_back
-        mate_residual = joint_residual(rows, cycle_mate[rows][:, None], mate_h[:, None])[:, 0]
-        better = mate_residual < residual[rows]
+        mate_residual, mate_data = joint_residual(
+            rows, cycle_mate[rows][:, None], mate_h[:, None]
+        )
+        better = mate_residual[:, 0] < residual[rows]
         swap = rows[better]
         pattern[swap] = cycle_mate[swap]
         h_final[swap] = mate_h[better]
-        residual[swap] = mate_residual[better]
+        residual[swap] = mate_residual[better, 0]
+        y_data[swap] = mate_data[better, 0]
 
     # Consistency screen, applied only to solutions the iteration settled on
     # (a fixed point, or either phase of a period-two oscillation): the update
@@ -471,25 +532,23 @@ def turbo_receive_frames(
         source_iterations = np.stack([iterations[rows], alt_iterations, alt_iterations], axis=1)
         source_converged = np.stack([converged[rows], alt_converged, alt_converged], axis=1)
 
-        joint = np.zeros((rows.size, 3, 1, 2), dtype=complex)
+        joint_fits = np.zeros((rows.size, 3, 1, 2), dtype=complex)
         row_of, source_of = np.nonzero(source_valid[:, 1:])
         source_of += 1
-        joint[row_of, source_of, 0], fell_back = final_fit(
+        joint_fits[row_of, source_of, 0], fell_back = final_fit(
             rows[row_of], source_patterns[row_of, source_of]
         )
         np.add.at(fallbacks, rows[row_of], fell_back)
         n_refits = geometry.pilots_per_block if geometry.pilots_per_block > 3 else 0
-        refits = leave_one_out_fits(
-            np.repeat(rows, 3), source_patterns.reshape(-1, n_sub, per_sub)
-        ).reshape(rows.size, 3, -1, 2)[:, :, :n_refits]
+        refits = leave_one_out_fits(rows, source_patterns)[:, :, :n_refits]
         per_source = [refits[:, 0]] + [
-            np.concatenate([joint[:, k], refits[:, k]], axis=1) for k in (1, 2)
+            np.concatenate([joint_fits[:, k], refits[:, k]], axis=1) for k in (1, 2)
         ]
         if not source_valid[:, 2].any():
             per_source.pop()
         source = np.repeat(np.arange(len(per_source)), [e.shape[1] for e in per_source])
         estimates = np.concatenate(per_source, axis=1)
-        cand_residual = joint_residual(rows, source_patterns[:, source], estimates)
+        cand_residual, cand_data = joint_residual(rows, source_patterns[:, source], estimates)
         cand_residual[~source_valid[:, source] | np.isnan(cand_residual)] = np.inf
         # Trying candidates in order and keeping strict improvements ends on
         # the first one that reaches the smallest residual.
@@ -499,16 +558,16 @@ def turbo_receive_frames(
             < residual[rows] - RESCUE_MARGIN * dnp_measured[rows]
         )
         winners = rows[adopt]
-        pick = (np.flatnonzero(adopt), source[best[adopt]])
+        adopted = (np.flatnonzero(adopt), best[adopt])
+        pick = (adopted[0], source[adopted[1]])
         pattern[winners] = source_patterns[pick]
-        h_final[winners] = estimates[np.flatnonzero(adopt), best[adopt]]
+        h_final[winners] = estimates[adopted]
+        y_data[winners] = cand_data[adopted]
         iterations[winners] = source_iterations[pick]
         converged[winners] = source_converged[pick]
         restarted[winners] = pick[1] > 0
 
-    data = np.ones((frames, geometry.block_length), dtype=bool)
-    np.put_along_axis(data, (pattern + offsets).reshape(frames, -1), False, axis=-1)
-    symbol_bits = detect_symbols(y_flat[data].reshape(frames, -1), h_final, data_alphabet)
+    symbol_bits = detect_symbols(y_data, h_final, data_alphabet)
     index_bits, unmapped = demap_patterns(pattern, sub_len, per_sub)
 
     return TurboFrames(

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from impilot.constellation import build_data_alphabet, map_bits_array
 from impilot.rx_classical import (
     DegeneratePilotSetError,
+    _LsPilotPart,
     _normal_terms,
+    _pilot_terms,
+    _received_terms,
     detect_symbols,
     ls_estimate,
     mmse_estimate,
@@ -171,6 +174,48 @@ def test_row_solver_matches_one_row_solver_bit_for_bit():
             assert solvable[f] and estimates[f].tobytes() == alone.tobytes()
     # the degenerate row holds the direct-path-only fit
     assert estimates[7].tobytes() == np.array([r1[7] / a[7], 0.0]).tobytes()
+
+
+def _one_shot_two_path_ls(a, s2, r1, r2):
+    """The solve as one expression of all four terms: the reference that the
+    split into a pilot part and a received part must reproduce."""
+    det = a**2 - np.abs(s2) ** 2
+    solvable = det > 1e-12 * a**2
+    safe_det = np.where(solvable, det, 1.0)
+    h_direct = np.where(
+        solvable, (a * r1 - np.conj(s2) * r2) / safe_det, r1 / np.where(a > 0, a, 1.0)
+    )
+    h_image = np.where(solvable, (-s2 * r1 + a * r2) / safe_det, 0.0)
+    return np.stack([h_direct, h_image], axis=-1), solvable
+
+
+@pytest.mark.parametrize("kind", ["random", "one_axis", "all_zero"])
+def test_split_solver_matches_one_shot_solve_bit_for_bit(kind):
+    # Six pilot sets, each fitted to three received sets, as the receiver's
+    # rescue fits one pilot set to three candidate patterns.
+    rng = np.random.default_rng(12)
+    pilots = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+    if kind == "one_axis":
+        pilots = rng.normal(size=(6, 8)) * np.exp(0.25j * np.pi)
+    elif kind == "all_zero":
+        pilots = np.zeros((6, 8), dtype=complex)
+    received = rng.normal(size=(6, 3, 8)) + 1j * rng.normal(size=(6, 3, 8))
+    a, s2 = _pilot_terms(pilots)
+    r1, r2 = _received_terms(pilots[:, None], received)
+    expected, expected_solvable = _one_shot_two_path_ls(a[:, None], s2[:, None], r1, r2)
+    assert expected_solvable.all() == (kind == "random")
+    assert not expected_solvable.any() or kind == "random"
+
+    part = _LsPilotPart.from_terms(a, s2)
+    estimates, solvable = part.take(np.s_[:, None]).solve(r1, r2)
+    assert estimates.tobytes() == expected.tobytes()
+    assert np.array_equal(solvable, expected_solvable)
+    rows = np.array([4, 1, 4])
+    estimates, solvable = part.take(rows).solve(r1[rows, 2], r2[rows, 2])
+    assert estimates.tobytes() == expected[rows, 2].tobytes()
+    assert np.array_equal(solvable, expected_solvable[rows, 0])
+    estimates, solvable = two_path_ls(a, s2, r1[:, 0], r2[:, 0])
+    assert estimates.tobytes() == expected[:, 0].tobytes()
 
 
 _MAGNITUDES = st.floats(0.1, 4.0)

@@ -23,6 +23,7 @@ from impilot.rx_turbo import (
     FALSE_FLAG_RATE,
     TurboFrames,
     _flag_quantile,
+    _top_positions,
     llr_values,
     prior_dnp,
     turbo_receive,
@@ -512,6 +513,18 @@ def test_per_row_noise_variance_matches_one_row_calls(dnp_mode):
             np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
             make_rx(variances[:-1], 0.02), TRANSMIT_POWER, **options,
         )
+
+
+def test_top_positions_break_ties_to_the_smaller_position():
+    eta = np.array([[[0.5, 2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 3.0], [1.0, 2.0, 1.0, 2.0]]])
+    assert _top_positions(eta, 1).tolist() == [[[1], [0], [1]]]
+    assert _top_positions(eta, 2).tolist() == [[[1, 2], [0, 1], [1, 3]]]
+    # On many ties, one pilot (argmax) and two (stable sort) both pick as
+    # the stable descending sort of the ratios does.
+    ties = np.random.default_rng(13).integers(0, 3, size=(40, 8, 8)).astype(float)
+    for per_sub in (1, 2):
+        reference = np.sort(np.argsort(-ties, axis=-1, kind="stable")[..., :per_sub], axis=-1)
+        assert np.array_equal(_top_positions(ties, per_sub), reference)
 
 
 def test_flag_quantile_matches_gamma_isf():
