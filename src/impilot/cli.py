@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 from .analysis import boundary_table
 from .constellation import build_data_alphabet
-from .fsc import FscGeometry, run_fsc_trials
+from .fsc import FscGeometry, fsc_chunk_sizes, run_fsc_trials
 from .harness import (
     GAMMA_GRID_DEFAULT,
     SCHEMES,
@@ -161,17 +162,27 @@ def _dispatch(args) -> int:
             cp_length=args.cp_length,
             pilot_length=args.pilot_length,
         )
+        chunk_sizes = fsc_chunk_sizes(geometry, args.trials)
         rng = np.random.default_rng(args.seed)
-        pairs = run_fsc_trials(
-            geometry, args.trials, rng, build_data_alphabet(4).points
-        )
+        points = build_data_alphabet(4).points
         path = _out_path(args, "fsc_trials.csv")
-        lines = ["trial,true_start,detected_start,success"]
-        lines += [
-            f"{i},{true},{det},{int(true == det)}"
-            for i, (true, det) in enumerate(pairs)
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # One chunk of round trips at a time, drawn from the one generator,
+        # into a side file that takes the output's name only when complete.
+        partial = path.with_name(path.name + ".partial")
+        try:
+            with open(partial, "w", encoding="utf-8") as handle:
+                handle.write("trial,true_start,detected_start,success\n")
+                first = 0
+                for rows in chunk_sizes:
+                    pairs = run_fsc_trials(geometry, rows, rng, points)
+                    handle.writelines(
+                        f"{first + i},{true},{det},{int(true == det)}\n"
+                        for i, (true, det) in enumerate(pairs)
+                    )
+                    first += rows
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
 
     print(path)
     return 0

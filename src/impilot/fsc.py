@@ -38,6 +38,7 @@ __all__ = [
     "sliding_correlation",
     "detect_start_index",
     "random_well_conditioned_cir",
+    "fsc_chunk_sizes",
     "run_fsc_trials",
 ]
 
@@ -248,6 +249,16 @@ def random_well_conditioned_cir(
             return taps
 
 
+def fsc_chunk_sizes(geometry: FscGeometry, trials: int):
+    """The trial counts of :func:`run_fsc_trials`'s chunks, in order: runs of
+    ``_CHUNK_SAMPLES`` block samples (at least one trial) and a shorter last
+    one.  ``trials`` is checked here, before any chunk runs."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    per_chunk = max(1, _CHUNK_SAMPLES // geometry.block_length)
+    return (min(per_chunk, trials - first) for first in range(0, trials, per_chunk))
+
+
 def run_fsc_trials(
     geometry: FscGeometry,
     trials: int,
@@ -263,19 +274,17 @@ def run_fsc_trials(
     then run in chunks of ``_CHUNK_SAMPLES`` block samples (at least one
     trial): CP framing, convolution, equalization and correlation detection
     each run once per chunk, on a ``(trials, samples)`` stack.  So the pairs
-    do not depend on the chunk size, and a spectral null raises
+    do not depend on the chunk size, nor on how the trials are split between
+    calls that share ``rng``, and a spectral null raises
     :class:`SpectralNullError` for the chunk that holds it.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    chunk_sizes = fsc_chunk_sizes(geometry, trials)
     if pilot_seq is None:
         pilot_seq = zadoff_chu(geometry.pilot_length)
     chunk = _pilot_chunk(np.asarray(pilot_seq, dtype=complex), geometry.cp_length)
     n_bits, n_data, n_taps = fsc_index_bits(geometry), geometry.data_length, geometry.cir_length
-    per_chunk = max(1, _CHUNK_SAMPLES // geometry.block_length)
     pairs = []
-    for first in range(0, trials, per_chunk):
-        rows = min(per_chunk, trials - first)
+    for rows in chunk_sizes:
         bits = np.empty((rows, n_bits), dtype=np.int64)
         symbols = np.empty((rows, n_data), dtype=np.int64)
         taps = np.empty((rows, n_taps), dtype=complex)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from impilot import cli, fsc
 from impilot.cli import main, _parse_grid
 from impilot.harness import CSV_HEADER
 
@@ -13,6 +14,46 @@ def test_parse_grid_forms():
     assert _parse_grid("4,8,12") == (4.0, 8.0, 12.0)
     assert _parse_grid("15") == (15.0,)
     assert len(_parse_grid("0:1:9999")) == 10000
+
+
+def test_fsc_writes_one_chunk_of_trials_at_a_time(tmp_path, monkeypatch):
+    # Chunks of 7 round trips: the command asks for 7, 7 and 6, all from one
+    # generator, and writes the bytes of one 20-trial call.
+    assert main(["fsc", "--trials", "20", "--out", str(tmp_path / "whole")]) == 0
+    whole = (tmp_path / "whole" / "fsc_trials.csv").read_bytes()
+    asked = []
+
+    def recording(geometry, trials, *args):
+        asked.append(trials)
+        return run(geometry, trials, *args)
+
+    run = cli.run_fsc_trials
+    monkeypatch.setattr(cli, "run_fsc_trials", recording)
+    monkeypatch.setattr(fsc, "_CHUNK_SAMPLES", 7 * 64)
+    assert main(["fsc", "--trials", "20", "--out", str(tmp_path / "chunks")]) == 0
+    assert asked == [7, 7, 6]
+    assert (tmp_path / "chunks" / "fsc_trials.csv").read_bytes() == whole
+
+
+def test_failed_fsc_run_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "fsc_trials.csv").write_text("an earlier run\n")
+    run = cli.run_fsc_trials
+
+    def failing(geometry, trials, *args):
+        if failing.calls:
+            raise fsc.SpectralNullError("channel frequency response has a spectral null")
+        failing.calls += 1
+        return run(geometry, trials, *args)
+
+    failing.calls = 0
+    monkeypatch.setattr(cli, "run_fsc_trials", failing)
+    monkeypatch.setattr(fsc, "_CHUNK_SAMPLES", 7 * 64)
+    assert main(["fsc", "--trials", "20", "--out", str(out)]) == 2
+    assert "spectral null" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["fsc_trials.csv"]
+    assert (out / "fsc_trials.csv").read_text() == "an earlier run\n"
 
 
 def test_boundary_subcommand(tmp_path):
