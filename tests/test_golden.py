@@ -4,13 +4,15 @@ The files under ``tests/data/`` were written by the lockstep harness that
 draws each frame's randomness in bulk at frame start (the order is given in
 ``harness._simulate_frames``), so they pin the whole chain (random draw
 order, receiver arithmetic, scoring, formatting) across later refactors.
-Each case runs 3 frames of 10 blocks in batches of 2, so the last batch is
-ragged.  The ``proposed_turbo_rescue`` case runs the iterative receiver at
-0 dB with 8 iterations and per-iteration DNP refresh, where the consistency
-screen fires and its rescue candidates get adopted
+Each case runs 3 frames of 10 blocks (20 where named) in batches of 2, so
+the last batch is ragged.  The ``proposed_turbo_rescue`` case runs the
+iterative receiver at 0 dB with 8 iterations and per-iteration DNP refresh,
+where the consistency screen fires and its rescue candidates get adopted
 (``test_rescue_case_adopts_rescue_candidates`` checks that they do).  The
-next two cases cover index demapping: undecodable position sets, and the
-fixed table for two pilots in four positions.  The two ``early_stop`` cases
+``proposed_turbo_rescue_oscillating`` case runs 20 blocks per frame, where
+the rescue's second pass also oscillates and rows adopt a candidate from
+its other phase.  The next two cases cover index demapping: undecodable
+position sets, and the fixed table for two pilots in four positions.  The two ``early_stop`` cases
 sweep five points whose error target stops them after one, two or three
 batches, so they pin which frames each point runs when points drop out of
 the sweep at different batches.  The ``proposed_turbo_wide_alphabets``
@@ -65,6 +67,14 @@ CASES = {
         max_iterations=8,
         dnp_mode="refresh",
         **{**_COMMON, "ebn0_db": (0.0,)},
+    ),
+    # Twenty blocks per frame: some rescues' second pass oscillates, and
+    # two rows adopt a candidate of that pass's other phase.
+    "proposed_turbo_rescue_oscillating": SystemConfig(
+        scheme="proposed_turbo",
+        max_iterations=8,
+        dnp_mode="refresh",
+        **{**_COMMON, "ebn0_db": (0.0,), "geometry": BlockGeometry(blocks_per_frame=20)},
     ),
     # Six positions carry two bits, so two of them map to no index word.
     "proposed_turbo_unmapped": SystemConfig(
