@@ -121,11 +121,19 @@ def snr_after_estimation(
     Grows with pilot power through the estimate quality but shrinks as the
     boost starves the data symbols, so it vanishes for very large ratios.
     """
-    if gamma <= 0 or received_power <= 0:
-        raise ValueError("gamma and received_power must be positive")
+    if not (0 < gamma < math.inf and 0 < received_power < math.inf):
+        raise ValueError(
+            "gamma and received_power must be positive and finite, "
+            f"got {gamma} and {received_power}"
+        )
+    dnp = distortion_level * received_power + noise_variance
+    if not (0 <= distortion_level < math.inf and 0 <= noise_variance < math.inf and dnp > 0):
+        raise ValueError(
+            "distortion_level and noise_variance must be >= 0 and finite, and not both 0, "
+            f"got {distortion_level} and {noise_variance}"
+        )
     pilots = geometry.pilots_per_block
     data = geometry.data_per_block
-    dnp = distortion_level * received_power + noise_variance
     return (
         geometry.block_length
         * received_power

@@ -83,8 +83,8 @@ def build_pilot_alphabet(order: int, gamma: float, data_alphabet: Constellation 
     """
     if order < 2 or order & (order - 1):
         raise ValueError(f"pilot alphabet order must be a power of two >= 2, got {order}")
-    if gamma <= 0:
-        raise ValueError(f"power ratio gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"power ratio gamma must be positive and finite, got {gamma}")
     phases = 2.0 * np.pi * np.arange(order) / order
     pilot = Constellation(np.sqrt(gamma) * np.exp(1j * phases))
     reference = data_alphabet if data_alphabet is not None else build_data_alphabet(order)
@@ -98,8 +98,8 @@ def build_pilot_alphabet(order: int, gamma: float, data_alphabet: Constellation 
 
 def scaled(constellation: Constellation, power_scale: float) -> Constellation:
     """Same alphabet with average power multiplied by ``power_scale``."""
-    if power_scale <= 0:
-        raise ValueError("power scale must be positive")
+    if not 0 < power_scale < np.inf:
+        raise ValueError(f"power scale must be positive and finite, got {power_scale}")
     return Constellation(constellation.points * np.sqrt(power_scale))
 
 
@@ -112,8 +112,8 @@ def min_cross_distance(gamma: float) -> float:
     mean of the two ring powers.  Closed form 2 - 4/(2/sqrt(g) + sqrt(g)),
     minimized at gamma = 2 where it equals 2 - sqrt(2).
     """
-    if gamma <= 0:
-        raise ValueError(f"power ratio gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"power ratio gamma must be positive and finite, got {gamma}")
     root = np.sqrt(gamma)
     return float(2.0 - 4.0 / (2.0 / root + root))
 

@@ -53,7 +53,7 @@ from .im_codec import (  # noqa: F401
 )
 from .impairments import TWO_PI, RxImpairments, TxImpairments
 from .rx_classical import _pilot_terms, detect_symbols, ls_estimate, mmse_estimate
-from .rx_turbo import DNP_MODES, turbo_receive, turbo_receive_frames  # noqa: F401
+from .rx_turbo import DNP_MODES, TurboFrames, turbo_receive, turbo_receive_frames  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -607,13 +607,7 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
         if turbo:
             # Block k's estimate seeds block k + 1, so the group goes one
             # block at a time: ``at`` holds the rows of one block.
-            h_hat = np.empty((stack, 2), dtype=complex)
-            rx_symbol_bits = np.empty_like(symbol_bits)
-            rx_index_bits = np.empty_like(index_bits)
-            rx_pattern = np.empty_like(true_pattern)
-            unmapped = np.empty((stack, g.subblocks), dtype=bool)
-            iterations = np.empty(stack, dtype=np.int64)
-            block_fallbacks = np.empty(stack, dtype=np.int64)
+            blocks = []
             for at in np.arange(stack).reshape(frames, n).T:
                 result = turbo_receive_frames(
                     y[at],
@@ -628,23 +622,24 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
                     use_stopping=config.use_stopping_rule,
                     dnp_mode=config.dnp_mode,
                 )
-                h_hat[at] = h_prior = result.channel_estimate
-                rx_symbol_bits[at] = result.symbol_bits
-                rx_index_bits[at] = result.index_bits
-                rx_pattern[at] = result.pattern
-                unmapped[at] = result.unmapped
-                iterations[at] = result.iterations
-                block_fallbacks[at] = result.ls_fallbacks
+                h_prior = result.channel_estimate
+                blocks.append(result)
+            # Each field of the group, with its rows frame-major.
+            out = TurboFrames(*(
+                np.stack(values, axis=1).reshape((stack,) + values[0].shape[1:])
+                for values in zip(*(vars(block).values() for block in blocks))
+            ))
+            h_hat, rx_symbol_bits = out.channel_estimate, out.symbol_bits
             # The receiver's counts are integers, so the group's blocks are
             # scored at once, in any order.
-            np.add.at(iteration_counts, (np.repeat(rows, n), iterations - 1), 1)
-            fallbacks += block_fallbacks.reshape(frames, n).sum(axis=1)
+            np.add.at(iteration_counts, (np.repeat(rows, n), out.iterations - 1), 1)
+            fallbacks += out.ls_fallbacks.reshape(frames, n).sum(axis=1)
             truth = index_bits.reshape(stack, g.subblocks, bits_per_sub)
-            guess = rx_index_bits.reshape(stack, g.subblocks, bits_per_sub)
+            guess = out.index_bits.reshape(stack, g.subblocks, bits_per_sub)
             per_sub = (truth != guess).sum(axis=2)
-            per_sub[unmapped] = bits_per_sub
+            per_sub[out.unmapped] = bits_per_sub
             index_bit_errors += per_sub.reshape(frames, -1).sum(axis=1)
-            wrong_sub = np.any(rx_pattern != true_pattern, axis=2)
+            wrong_sub = np.any(out.pattern != true_pattern, axis=2)
             pattern_errors += wrong_sub.reshape(frames, -1).sum(axis=1)
         else:
             # Known pilot positions: the preamble, or the true pattern.

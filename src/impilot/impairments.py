@@ -41,8 +41,11 @@ class TxImpairments:
     phase_step_std: float = 0.0
 
     def __post_init__(self):
-        if self.phase_step_std < 0:
-            raise ValueError("phase_step_std must be >= 0")
+        for name in ("amplitude_imbalance", "phase_imbalance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.phase_step_std < math.inf:
+            raise ValueError(f"phase_step_std must be >= 0 and finite, got {self.phase_step_std}")
 
     @property
     def direct_coeff(self) -> complex:
@@ -75,10 +78,14 @@ class RxImpairments:
     noise_variance: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.distortion_level < 0:
-            raise ValueError("distortion_level must be >= 0")
-        if np.any(np.asarray(self.noise_variance) < 0):
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= self.distortion_level < math.inf:
+            raise ValueError(
+                f"distortion_level must be >= 0 and finite, got {self.distortion_level}"
+            )
+        noise = np.asarray(self.noise_variance)
+        bad = ~((noise >= 0) & (noise < np.inf))
+        if bad.any():
+            raise ValueError(f"noise_variance must be >= 0 and finite, got {noise[bad].flat[0]}")
 
 
 def apply_tx_impairments(x, tx: TxImpairments, theta: float):

@@ -43,17 +43,16 @@ def _received_terms(pilots, received):
     return r1, r2
 
 
-def _normal_terms(pilots, received):
-    """Entries (a, s2, r1, r2) of P^H P and P^H y, reduced over the last
-    axis, so stacked rows give one set of terms each: :func:`_pilot_terms`
-    followed by :func:`_received_terms`."""
-    return _pilot_terms(pilots) + _received_terms(pilots, received)
-
-
 class _LsPilotPart(NamedTuple):
-    """The pilot-only half of :func:`two_path_ls`: what the solve needs from
-    ``a`` and ``s2`` alone, so that fits of one pilot set to many received
-    sets form it once.  ``solve`` is the received half."""
+    """The closed-form solve of the two-path normal equations, split into
+    its pilot-only half, formed from the :func:`_pilot_terms` ``a`` and
+    ``s2`` of each pilot set, and :meth:`solve`, its received half, so that
+    fits of one pilot set to many received sets form the pilot half once.
+
+    A set is solvable when det(P^H P) > 1e-12 a^2; the others (all pilots
+    collinear with their conjugates) cannot resolve both coefficients and get
+    the direct-path-only fit ``(r1 / a, 0)``, zero for all-zero pilots.
+    """
 
     a: np.ndarray
     conj_s2: np.ndarray
@@ -70,11 +69,12 @@ class _LsPilotPart(NamedTuple):
         return cls(a, np.conj(s2), -s2, safe_det, np.where(a > 0, a, 1.0), solvable)
 
     def take(self, index) -> "_LsPilotPart":
-        """The part of the rows ``index`` of the leading axis."""
+        """The part of the pilot sets ``index``."""
         return _LsPilotPart(*(t[index] for t in self))
 
     def solve(self, r1, r2):
-        """:func:`two_path_ls` for received terms that broadcast against
+        """Estimates ``(..., 2)`` and ``solvable`` for the
+        :func:`_received_terms` ``r1`` and ``r2``, which broadcast against
         this part."""
         h_direct = (self.a * r1 - self.conj_s2 * r2) / self.safe_det
         estimates = np.empty(h_direct.shape + (2,), dtype=complex)
@@ -87,24 +87,13 @@ class _LsPilotPart(NamedTuple):
         return estimates, self.solvable
 
 
-def two_path_ls(a, s2, r1, r2):
-    """Closed-form solve of the two-path normal equations, broadcast over any
-    leading axes of the :func:`_normal_terms` output.
-
-    Returns ``(estimates, solvable)`` with estimates of shape ``(..., 2)``.
-    A set is solvable when det(P^H P) > 1e-12 a^2; the others (all pilots
-    collinear with their conjugates) cannot resolve both coefficients and get
-    the direct-path-only fit ``(r1 / a, 0)``, zero for all-zero pilots.
-    """
-    return _LsPilotPart.from_terms(a, s2).solve(r1, r2)
-
-
 def solve_two_path_ls(pilots, received):
     """Closed-form LS solution, or None when the pilot set is degenerate:
-    :func:`two_path_ls` on a stack of one row."""
+    :class:`_LsPilotPart` on a stack of one row."""
     pilots = np.asarray(pilots, dtype=complex).reshape(1, -1)
     received = np.asarray(received, dtype=complex).reshape(1, -1)
-    estimates, solvable = two_path_ls(*_normal_terms(pilots, received))
+    part = _LsPilotPart.from_terms(*_pilot_terms(pilots))
+    estimates, solvable = part.solve(*_received_terms(pilots, received))
     return estimates[0] if solvable[0] else None
 
 
@@ -129,7 +118,8 @@ def ls_estimate(pilots, received) -> np.ndarray:
     if received.shape[1] < 2:
         raise ValueError("at least two pilot symbols are required")
     pilots = np.asarray(pilots, dtype=complex)
-    estimates, solvable = two_path_ls(*_normal_terms(pilots, received))
+    part = _LsPilotPart.from_terms(*_pilot_terms(pilots))
+    estimates, solvable = part.solve(*_received_terms(pilots, received))
     if not solvable.all():
         raise DegeneratePilotSetError(
             "degenerate pilot set: pilot column is collinear with its conjugate"
@@ -170,8 +160,7 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
     one estimate per row.  Returns the bits, ``(rows, n *
     bits_per_symbol)``.  The decision does not depend on the noise power;
     ties go to the lowest constellation index.  The alphabet is scanned one
-    point at a time, through one difference and one distance buffer, so no
-    temporary grows with its size.
+    point at a time, so no temporary grows with its size.
     """
     received = _stacked(received)
     h = np.asarray(channel_estimate, dtype=complex)
@@ -181,15 +170,10 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
         raise ValueError("channel estimate must be a non-zero length-2 vector")
     points = constellation.points
     model = points * h[:, :1] + np.conj(points) * h[:, 1:]
-    diff = np.subtract(received, model[:, :1])
-    best = np.square(np.abs(diff))
-    d2 = np.empty_like(best)
-    closer = np.empty(best.shape, dtype=bool)
+    best = np.abs(received - model[:, :1]) ** 2
     idx = np.zeros(received.shape, dtype=np.intp)
     for i in range(1, points.size):
-        np.subtract(received, model[:, i : i + 1], out=diff)
-        np.square(np.abs(diff, out=d2), out=d2)
-        np.less(d2, best, out=closer)
-        idx[closer] = i
+        d2 = np.abs(received - model[:, i : i + 1]) ** 2
+        idx[d2 < best] = i
         np.minimum(best, d2, out=best)
     return constellation.label_bits[idx].reshape(received.shape[0], -1)

@@ -26,10 +26,14 @@ and index words are read from them by
 if its block were processed alone, as a stack of one.
 
 A call forms once what its iterations share: the pilot-only half of every
-least-squares fit (:class:`impilot.rx_classical._LsPilotPart`), the rows'
-noise and prior terms, and, for the screen and the final detection, one
-gather of each pattern's data samples.  Inside the iteration the live rows'
-inputs are taken again only when rows leave.
+least-squares fit (:class:`impilot.rx_classical._LsPilotPart`, the one
+solver) and the rows' noise and prior terms.  Inside the iteration the live
+rows' inputs are taken again only when rows leave.  Every whole pattern, the
+settled one, its cycle mate or a rescue source, is scored by one step: one
+gather of its pilot and data samples, its fit over all pilots (and, in the
+rescue, its leave-one-pilot-out refits) and the block's residual under each
+fit.  Choosing the better phase of an oscillation and adopting a rescue
+candidate are then one rule with two margins.
 """
 
 import functools
@@ -91,20 +95,13 @@ def _dnp(distortion_level: float, noise_variance, received_power):
     return np.maximum(distortion_level * received_power + noise, DNP_FLOOR)
 
 
-def _estimate_dnp(channel_estimate, distortion_level, noise_variance, transmit_power):
-    """:func:`prior_dnp` with the receiver impairments as plain values."""
-    power = (np.abs(channel_estimate) ** 2).sum(axis=-1) * transmit_power
-    return _dnp(distortion_level, noise_variance, power)
-
-
 def prior_dnp(channel_estimate, rx: RxImpairments, transmit_power: float):
     """Distortion-plus-noise power implied by a channel estimate's
     received-power prediction.  Estimates stacked on leading axes give one
     value each; a per-row ``rx.noise_variance`` holds one value per entry
     of the first axis."""
-    return _estimate_dnp(
-        np.asarray(channel_estimate), rx.distortion_level, rx.noise_variance, transmit_power
-    )
+    power = (np.abs(channel_estimate) ** 2).sum(axis=-1) * transmit_power
+    return _dnp(rx.distortion_level, rx.noise_variance, power)
 
 
 def _neg_lse(d2: np.ndarray, dnp) -> np.ndarray:
@@ -155,8 +152,9 @@ def llr_values(
     if not 1 <= pilots_per_subblock < subblock_length:
         raise ValueError("need 1 <= pilots_per_subblock < subblock_length")
     dnp_arr = np.asarray(dnp, dtype=float)
-    if (dnp_arr <= 0).any():
-        raise ValueError("distortion-plus-noise power must be positive")
+    if not (dnp_arr > 0).all():
+        bad = dnp_arr[~(dnp_arr > 0)].flat[0]
+        raise ValueError(f"distortion-plus-noise power must be positive, got {bad}")
 
     h = np.asarray(channel, dtype=complex)
     y = np.asarray(received, dtype=complex)
@@ -192,6 +190,16 @@ def _leave_own_out(terms):
     """Normal-equation terms of each set with its own entry left out: the
     total over the last axis minus the entry itself."""
     return tuple(t.sum(axis=-1, keepdims=True) - t for t in terms)
+
+
+def _with_each_left_out(terms, entries):
+    """Normal-equation terms of the whole set, then of the set with each of
+    its first ``entries`` entries left out, on the last axis."""
+    totals = [t.sum(axis=-1, keepdims=True) for t in terms]
+    return tuple(
+        np.concatenate([total, total - t[..., :entries]], axis=-1)
+        for total, t in zip(totals, terms)
+    )
 
 
 @dataclass
@@ -297,12 +305,18 @@ def turbo_receive_frames(
 
     # The pilot halves of the LS fits depend on the pilot values alone, so
     # they are formed once per block: one per subblock for the extrinsic
-    # fits, from every other subblock's pilots, and one for the fit over all
-    # of a row's pilots.
+    # fits, from every other subblock's pilots, then, for the fits of whole
+    # patterns, one over all of a row's pilots and the rescue's refits, each
+    # without one pilot.
     extrinsic = _LsPilotPart.from_terms(*_leave_own_out(_pilot_terms(pvals)))
-    joint = _LsPilotPart.from_terms(*_pilot_terms(flat_pilots))
-    # Direct-path-only fallbacks that each extrinsic update of a row takes.
+    n_refits = n_pilots if n_pilots > 3 else 0
+    fit_part = _LsPilotPart.from_terms(
+        *_with_each_left_out(_pilot_terms(flat_pilots[..., None]), n_refits)
+    )
+    # Direct-path-only fallbacks that each extrinsic update of a row takes,
+    # and that each fit over all of its pilots takes.
     extrinsic_fallbacks = n_sub - np.count_nonzero(extrinsic.solvable, axis=-1)
+    joint_fallback = ~fit_part.solvable[:, 0]
     fallbacks = np.zeros(frames, dtype=np.int64)
 
     def run_pass(rows, pattern):
@@ -339,9 +353,8 @@ def turbo_receive_frames(
             if dnp_mode == "prior":
                 dnp_iter = dnp
             else:
-                dnp_iter = _estimate_dnp(
-                    h_ex, rx.distortion_level, dnp, transmit_power
-                )[..., None]
+                power = (np.abs(h_ex) ** 2).sum(axis=-1) * transmit_power
+                dnp_iter = _dnp(rx.distortion_level, dnp, power)[..., None]
 
             eta = llr_values(
                 samples,
@@ -391,13 +404,6 @@ def turbo_receive_frames(
         iterations[oscillating] = max_iterations
         return pattern, iterations, converged, oscillating, cycle_mate
 
-    def pilot_samples(rows, patterns):
-        """The samples at each pattern's pilot positions, in subblock order:
-        (rows, ..., pilots_per_block) for patterns (rows, ..., subblocks,
-        pilots)."""
-        index = starts[rows].reshape((rows.size,) + (1,) * (patterns.ndim - 3) + (n_sub, 1))
-        return y_flat.flat[index + patterns].reshape(patterns.shape[:-2] + (n_pilots,))
-
     # A subblock's j-th data position is j plus the number of its pilots p_k
     # (k-th smallest, from 0) with p_k - k <= j, for sorted patterns.
     data_rank = np.arange(sub_len - per_sub)
@@ -405,59 +411,48 @@ def turbo_receive_frames(
 
     def data_samples(rows, patterns):
         """The samples at each pattern's data positions, in block order:
-        (rows, candidates, data_per_block) for patterns (rows, candidates,
+        (rows, sources, data_per_block) for patterns (rows, sources,
         subblocks, pilots)."""
         before = np.count_nonzero((patterns - pilot_rank)[..., None] <= data_rank, axis=-2)
         index = starts[rows][:, None] + data_rank + before
         return y_flat.flat[index].reshape(patterns.shape[:2] + (n_data,))
 
-    def final_fit(rows, pattern):
-        """LS over all detected pilot positions, with a direct-path-only fit
-        for degenerate pilot sets.  Returns (estimates, fell_back)."""
-        terms = _received_terms(flat_pilots[rows], pilot_samples(rows, pattern))
-        estimates, solvable = joint.take(rows).solve(*terms)
-        return estimates, ~solvable
+    def candidates(rows, patterns, refits):
+        """Candidate (pattern, estimate) pairs of ``rows`` and the squared
+        residual of the block under each, with data positions explained by
+        their best alphabet candidate.  ``patterns`` is (rows, sources,
+        subblocks, pilots).  Each source gives its LS fit over all its
+        pilots, then ``refits`` fits that each leave one pilot out: a single
+        wrongly-claimed position drags the joint fit enough to mask its own
+        residual, so the rescue re-solves without each in turn and lets the
+        whole-block residual arbitrate.
 
-    def leave_one_out_fits(rows, patterns):
-        """LS fits with one claimed pilot pair excluded, one per pair:
-        (rows, candidates, pilots_per_block, 2) for patterns (rows,
-        candidates, subblocks, pilots).
-
-        A single wrongly-claimed position drags the joint fit enough to mask
-        its own residual, so the rescue candidates re-solve without each pair
-        in turn and let the whole-block residual arbitrate.
-        """
-        values = flat_pilots[rows][..., None]
-        pilot_part = _LsPilotPart.from_terms(*_leave_own_out(_pilot_terms(values)))
-        terms = _received_terms(values[:, None], pilot_samples(rows, patterns)[..., None])
-        return pilot_part.take(np.s_[:, None]).solve(*_leave_own_out(terms))[0]
-
-    def joint_residual(rows, patterns, estimates):
-        """Squared residual of each row's block under each of its candidate
-        (pattern, estimate) pairs, with data positions explained by their
-        best alphabet candidate.  ``patterns`` is (rows, candidates,
-        subblocks, pilots), ``estimates`` (rows, candidates, 2).  Returns
-        the residuals (rows, candidates) and the data samples of each
-        candidate (rows, candidates, data_per_block)."""
-        samples = pilot_samples(rows, patterns)
-        flat = flat_pilots[rows][:, None]
+        Returns the estimates (rows, sources, 1 + refits, 2), their
+        residuals (rows, sources, 1 + refits) and each source's data samples
+        (rows, sources, data_per_block)."""
+        index = starts[rows].reshape(rows.size, 1, n_sub, 1) + patterns
+        samples = y_flat.flat[index].reshape(patterns.shape[:2] + (n_pilots,))
+        values = flat_pilots[rows][:, None]
+        pairs = _received_terms(values[..., None], samples[..., None])
+        part = fit_part.take((rows[:, None], slice(refits + 1)))
+        estimates = part.solve(*_with_each_left_out(pairs, refits))[0]
         h0, h1 = estimates[..., :1], estimates[..., 1:]
-        pilot_model = flat * h0 + np.conj(flat) * h1
-        residual = np.sum(np.abs(samples - pilot_model) ** 2, axis=-1)
+        pilot_model = values[..., None, :] * h0 + np.conj(values[..., None, :]) * h1
+        residual = np.sum(np.abs(samples[:, :, None] - pilot_model) ** 2, axis=-1)
         y_data = data_samples(rows, patterns)
         # Nearest data candidate, one alphabet point at a time through two
-        # buffers, which keeps the temporaries at (rows, candidates, data
+        # buffers, which keeps the temporaries at (rows, sources, fits, data
         # samples).
-        points = data_alphabet.points[:, None, None, None]
+        points = data_alphabet.points[:, None, None, None, None]
         models = points * h0 + np.conj(points) * h1
-        nearest = np.full(y_data.shape, np.inf)
-        diff = np.empty_like(y_data)
-        d2 = np.empty(y_data.shape)
+        nearest = np.full(residual.shape + (n_data,), np.inf)
+        diff = np.empty(nearest.shape, dtype=complex)
+        d2 = np.empty(nearest.shape)
         for model in models:
-            np.subtract(y_data, model, out=diff)
+            np.subtract(y_data[:, :, None], model, out=diff)
             np.square(np.abs(diff, out=d2), out=d2)
             np.minimum(nearest, d2, out=nearest)
-        return residual + np.sum(nearest, axis=-1), y_data
+        return estimates, residual + np.sum(nearest, axis=-1), y_data
 
     measured_power = np.maximum(
         (np.mean(np.abs(y_flat) ** 2, axis=-1) - noise)
@@ -479,25 +474,38 @@ def turbo_receive_frames(
     pattern, iterations, converged, oscillating, cycle_mate = run_pass(
         every, _top_positions(eta, per_sub)
     )
-    h_final, fell_back = final_fit(every, pattern)
-    fallbacks += fell_back
-    residual, y_data = joint_residual(every, pattern[:, None], h_final[:, None])
-    residual, y_data = residual[:, 0], y_data[:, 0]
+    estimates, residual, y_data = candidates(every, pattern[:, None], 0)
+    h_final, residual, y_data = estimates[:, 0, 0], residual[:, 0, 0], y_data[:, 0]
+    fallbacks += joint_fallback
     restarted = np.zeros(frames, dtype=bool)
 
+    def adopt(rows, patterns, valid, margin, refits=0):
+        """Give each of ``rows`` the first of its candidates with the
+        smallest residual, where that beats the row's residual by
+        ``margin``.  Source 0 of ``patterns`` is the row's own pattern, whose
+        joint fit is its estimate; sources not ``valid`` are scored but
+        never adopted.  Returns the adopting rows' places in ``rows`` and
+        their sources."""
+        fallbacks[rows] += joint_fallback[rows] * np.count_nonzero(valid[:, 1:], axis=1)
+        estimates, scores, samples = candidates(rows, patterns, refits)
+        scores[~valid[..., None] | np.isnan(scores)] = np.inf
+        flat = scores.reshape(rows.size, -1)
+        best = np.argmin(flat, axis=1)
+        won = np.flatnonzero(flat[np.arange(rows.size), best] < residual[rows] - margin)
+        source, fit = np.divmod(best[won], refits + 1)
+        winners = rows[won]
+        pattern[winners] = patterns[won, source]
+        h_final[winners] = estimates[won, source, fit]
+        residual[winners] = scores[won, source, fit]
+        y_data[winners] = samples[won, source]
+        return won, source
+
+    # Of the two phases of a period-two oscillation, the one that explains
+    # the block better.
     rows = np.flatnonzero(oscillating)
     if rows.size:
-        mate_h, fell_back = final_fit(rows, cycle_mate[rows])
-        fallbacks[rows] += fell_back
-        mate_residual, mate_data = joint_residual(
-            rows, cycle_mate[rows][:, None], mate_h[:, None]
-        )
-        better = mate_residual[:, 0] < residual[rows]
-        swap = rows[better]
-        pattern[swap] = cycle_mate[swap]
-        h_final[swap] = mate_h[better]
-        residual[swap] = mate_residual[better, 0]
-        y_data[swap] = mate_data[better, 0]
+        phases = np.stack([pattern[rows], cycle_mate[rows]], axis=1)
+        adopt(rows, phases, np.ones(phases.shape[:2], dtype=bool), 0.0)
 
     # Consistency screen, applied only to solutions the iteration settled on
     # (a fixed point, or either phase of a period-two oscillation): the update
@@ -520,52 +528,20 @@ def turbo_receive_frames(
         alt_pattern, alt_iterations, alt_converged, alt_oscillating, alt_mate = run_pass(
             rows, _top_positions(np.abs(y[rows]) ** 2, per_sub)
         )
-        # Three sources of candidates, tried in this order: refits of the
-        # settled pattern, then the second pass's pattern and, if that pass
+        # Three sources of candidates, tried in this order: the settled
+        # pattern, then the second pass's pattern and, if that pass
         # oscillates, its other phase, each with its joint fit and refits.
         # A second-pass pattern equal to the settled one adds nothing.
         kept = pattern[rows]
-        source_patterns = np.stack([kept, alt_pattern, alt_mate], axis=1)
-        source_valid = np.ones((rows.size, 3), dtype=bool)
-        source_valid[:, 2] = alt_oscillating
-        source_valid[:, 1:] &= ~np.all(source_patterns[:, 1:] == kept[:, None], axis=(2, 3))
-        source_iterations = np.stack([iterations[rows], alt_iterations, alt_iterations], axis=1)
-        source_converged = np.stack([converged[rows], alt_converged, alt_converged], axis=1)
-
-        joint_fits = np.zeros((rows.size, 3, 1, 2), dtype=complex)
-        row_of, source_of = np.nonzero(source_valid[:, 1:])
-        source_of += 1
-        joint_fits[row_of, source_of, 0], fell_back = final_fit(
-            rows[row_of], source_patterns[row_of, source_of]
-        )
-        np.add.at(fallbacks, rows[row_of], fell_back)
-        n_refits = geometry.pilots_per_block if geometry.pilots_per_block > 3 else 0
-        refits = leave_one_out_fits(rows, source_patterns)[:, :, :n_refits]
-        per_source = [refits[:, 0]] + [
-            np.concatenate([joint_fits[:, k], refits[:, k]], axis=1) for k in (1, 2)
-        ]
-        if not source_valid[:, 2].any():
-            per_source.pop()
-        source = np.repeat(np.arange(len(per_source)), [e.shape[1] for e in per_source])
-        estimates = np.concatenate(per_source, axis=1)
-        cand_residual, cand_data = joint_residual(rows, source_patterns[:, source], estimates)
-        cand_residual[~source_valid[:, source] | np.isnan(cand_residual)] = np.inf
-        # Trying candidates in order and keeping strict improvements ends on
-        # the first one that reaches the smallest residual.
-        best = np.argmin(cand_residual, axis=1)
-        adopt = (
-            cand_residual[np.arange(rows.size), best]
-            < residual[rows] - RESCUE_MARGIN * dnp_measured[rows]
-        )
-        winners = rows[adopt]
-        adopted = (np.flatnonzero(adopt), best[adopt])
-        pick = (adopted[0], source[adopted[1]])
-        pattern[winners] = source_patterns[pick]
-        h_final[winners] = estimates[adopted]
-        y_data[winners] = cand_data[adopted]
-        iterations[winners] = source_iterations[pick]
-        converged[winners] = source_converged[pick]
-        restarted[winners] = pick[1] > 0
+        sources = np.stack([kept, alt_pattern, alt_mate], axis=1)
+        valid = np.ones((rows.size, 3), dtype=bool)
+        valid[:, 2] = alt_oscillating
+        valid[:, 1:] &= ~np.all(sources[:, 1:] == kept[:, None], axis=(2, 3))
+        won, source = adopt(rows, sources, valid, RESCUE_MARGIN * dnp_measured[rows], n_refits)
+        second = won[source > 0]
+        iterations[rows[second]] = alt_iterations[second]
+        converged[rows[second]] = alt_converged[second]
+        restarted[rows[second]] = True
 
     symbol_bits = detect_symbols(y_data, h_final, data_alphabet)
     index_bits, unmapped = demap_patterns(pattern, sub_len, per_sub)

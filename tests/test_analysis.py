@@ -132,6 +132,16 @@ def test_snr_after_estimation_validation():
         snr_after_estimation(0.0, g, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("at", range(4))
+def test_snr_after_estimation_names_a_non_finite_input(at, value):
+    # gamma, distortion level, noise variance, received power
+    args = [4.0, 0.1, 0.5, 1.0]
+    args[at] = value
+    with pytest.raises(ValueError, match=f"got .*{value}"):
+        snr_after_estimation(args[0], BlockGeometry(), *args[1:])
+
+
 def test_complexity_counts():
     proposed = complexity_multiplications(
         "proposed",

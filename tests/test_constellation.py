@@ -54,6 +54,16 @@ def test_non_power_of_two_rejected(order):
         build_pilot_alphabet(order, 4.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_power_ratios_are_rejected(value):
+    with pytest.raises(ValueError, match=f"got {value}"):
+        build_pilot_alphabet(4, value)
+    with pytest.raises(ValueError, match=f"got {value}"):
+        scaled(build_data_alphabet(4), value)
+    with pytest.raises(ValueError, match=f"got {value}"):
+        min_cross_distance(value)
+
+
 def test_gamma_must_be_positive():
     with pytest.raises(ValueError):
         build_pilot_alphabet(4, 0.0)

@@ -192,3 +192,11 @@ def test_rescue_case_adopts_rescue_candidates(monkeypatch):
     monkeypatch.setattr(harness, "turbo_receive_frames", recording)
     run_experiment(CASES["proposed_turbo_rescue"])
     assert restarted and any(r.any() for r in restarted)
+
+
+def test_write_golden_reproduces_every_data_file(tmp_path):
+    write_golden(tmp_path)
+    expected = sorted(path.name for path in DATA.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

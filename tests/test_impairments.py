@@ -133,8 +133,26 @@ def test_parameter_validation():
         TxImpairments(phase_step_std=-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (RxImpairments, "noise_variance"),
+        (RxImpairments, "distortion_level"),
+        (TxImpairments, "amplitude_imbalance"),
+        (TxImpairments, "phase_imbalance"),
+        (TxImpairments, "phase_step_std"),
+    ],
+)
+def test_non_finite_parameters_are_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be .* got {value}"):
+        cls(**{name: value})
+
+
 def test_per_row_noise_variance_rejects_any_negative_entry():
     rows = np.array([0.0, 0.5, 2.0])
     assert RxImpairments(0.1, rows).noise_variance is rows
     with pytest.raises(ValueError, match="noise_variance must be >= 0"):
         RxImpairments(0.1, np.array([0.5, -1e-300, 2.0]))
+    with pytest.raises(ValueError, match="got nan"):
+        RxImpairments(0.1, np.array([0.5, np.nan, 2.0]))

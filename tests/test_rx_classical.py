@@ -9,7 +9,6 @@ from impilot.constellation import build_data_alphabet, map_bits_array
 from impilot.rx_classical import (
     DegeneratePilotSetError,
     _LsPilotPart,
-    _normal_terms,
     _pilot_terms,
     _received_terms,
     detect_symbols,
@@ -17,7 +16,6 @@ from impilot.rx_classical import (
     mmse_estimate,
     pilot_matrix,
     solve_two_path_ls,
-    two_path_ls,
 )
 
 PREAMBLE = np.array([1.0, 1.0j])
@@ -163,8 +161,9 @@ def test_row_solver_matches_one_row_solver_bit_for_bit():
     pilots = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
     pilots[7] = 2.0  # collinear with its conjugate
     received = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
-    a, s2, r1, r2 = _normal_terms(pilots, received)
-    estimates, solvable = two_path_ls(a, s2, r1, r2)
+    a, s2 = _pilot_terms(pilots)
+    r1, r2 = _received_terms(pilots, received)
+    estimates, solvable = _LsPilotPart.from_terms(a, s2).solve(r1, r2)
     assert estimates.shape == (50, 2)
     for f in range(50):
         alone = solve_two_path_ls(pilots[f], received[f])
@@ -214,7 +213,7 @@ def test_split_solver_matches_one_shot_solve_bit_for_bit(kind):
     estimates, solvable = part.take(rows).solve(r1[rows, 2], r2[rows, 2])
     assert estimates.tobytes() == expected[rows, 2].tobytes()
     assert np.array_equal(solvable, expected_solvable[rows, 0])
-    estimates, solvable = two_path_ls(a, s2, r1[:, 0], r2[:, 0])
+    estimates, solvable = part.solve(r1[:, 0], r2[:, 0])
     assert estimates.tobytes() == expected[:, 0].tobytes()
 
 
@@ -261,8 +260,9 @@ def _pilot_stacks(draw):
 @given(_pilot_stacks())
 def test_two_path_ls_property(stack):
     pilots, received, collinear = stack
-    a, s2, r1, r2 = _normal_terms(pilots, received)
-    estimates, solvable = two_path_ls(a, s2, r1, r2)
+    a, s2 = _pilot_terms(pilots)
+    r1, r2 = _received_terms(pilots, received)
+    estimates, solvable = _LsPilotPart.from_terms(a, s2).solve(r1, r2)
     assert not solvable[collinear].any()
     for f in range(pilots.shape[0]):
         alone = solve_two_path_ls(pilots[f], received[f])

@@ -136,6 +136,13 @@ def test_llr_diverges_on_pilot_point_as_noise_vanishes():
     assert values[-1] > 1e3
 
 
+@pytest.mark.parametrize("dnp", [math.nan, 0.0, -1.0, [1.0, math.nan]])
+def test_llr_values_names_a_non_positive_dnp(dnp):
+    bad = np.asarray(dnp).flat[-1]
+    with pytest.raises(ValueError, match=f"must be positive, got {bad}"):
+        llr_values([0.0, 1.0], np.array([1.0, 0.0]), DATA, PILOT, 8, 1, dnp)
+
+
 def test_llr_validation():
     with pytest.raises(ValueError):
         llr_values([0.0], np.array([1.0, 0.0]), DATA, PILOT, 8, 1, 0.0)
