@@ -19,6 +19,12 @@ the sweep at different batches.  The ``proposed_turbo_wide_alphabets``
 case runs 16-point data and 8-point pilot alphabets under quasi-static
 fading, with block power normalized and the stopping rule off.
 
+The ``golden_gamma_sweep*.csv`` files are what ``impilot gamma-sweep``
+writes for ``proposed_turbo`` at the power ratios ``GAMMA_GRID``, with the
+settings above, once with the block power as the alphabets give it and
+once normalized to one.  The ratio sets the pilot alphabet, the transmit
+power the receiver works out, and, when normalized, the data alphabet.
+
 The ``golden_fsc*.csv`` files are ``impilot fsc`` outputs at a fixed seed:
 the default geometry with 2,000 round trips, and a 128-sample block with a
 three-tap impulse response and a 16-symbol pilot with 500.  They pin the
@@ -37,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from impilot import cli, harness
-from impilot.harness import SystemConfig, run_experiment, write_csv
+from impilot.harness import SystemConfig, run_experiment, run_gamma_sweep, write_csv
 from impilot.im_codec import BlockGeometry
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -109,6 +115,16 @@ CASES = {
 }
 
 
+# name -> config of an ``impilot gamma-sweep`` over GAMMA_GRID; its CSV is
+# written to golden_<name>.csv and its sums, ratio after ratio, under <name>.
+GAMMA_GRID = (2.0, 4.0, 8.0)
+GAMMA_CASES = {
+    "gamma_sweep": SystemConfig(scheme="proposed_turbo", **_COMMON),
+    "gamma_sweep_normalized": SystemConfig(
+        scheme="proposed_turbo", normalize_block_power=True, **_COMMON
+    ),
+}
+
 SUMS = DATA / "golden_sums.json"
 
 # name -> impilot fsc arguments; the CSV is written to golden_<name>.csv.
@@ -138,12 +154,21 @@ def point_sums(result) -> list:
     ]
 
 
+def run_gamma_case(name: str) -> list:
+    """The results that ``impilot gamma-sweep`` writes for a gamma case."""
+    return run_gamma_sweep(GAMMA_CASES[name], GAMMA_GRID)
+
+
 def write_golden(directory) -> None:
     sums = {}
     for name, config in CASES.items():
         result = run_experiment(config)
         write_csv(result, Path(directory) / golden_path(name).name)
         sums[name] = point_sums(result)
+    for name in GAMMA_CASES:
+        results = run_gamma_case(name)
+        write_csv(results, Path(directory) / golden_path(name).name)
+        sums[name] = [row for result in results for row in point_sums(result)]
     text = json.dumps(sums, indent=1, sort_keys=True) + "\n"
     (Path(directory) / SUMS.name).write_text(text, encoding="utf-8")
     for name in FSC_CASES:
@@ -173,6 +198,25 @@ def test_sums_match_golden_bits(name, results):
     expected = json.loads(SUMS.read_text(encoding="utf-8"))[name]
     got = json.loads(json.dumps(point_sums(results[name])))
     assert got == expected
+
+
+@pytest.fixture(scope="module")
+def gamma_results():
+    return {name: run_gamma_case(name) for name in GAMMA_CASES}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_CASES))
+def test_gamma_sweep_csv_matches_golden_bytes(name, gamma_results, tmp_path):
+    out = tmp_path / "run.csv"
+    write_csv(gamma_results[name], out)
+    assert out.read_bytes() == golden_path(name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_CASES))
+def test_gamma_sweep_sums_match_golden_bits(name, gamma_results):
+    expected = json.loads(SUMS.read_text(encoding="utf-8"))[name]
+    got = [row for result in gamma_results[name] for row in point_sums(result)]
+    assert json.loads(json.dumps(got)) == expected
 
 
 @pytest.mark.parametrize("name", sorted(FSC_CASES))
