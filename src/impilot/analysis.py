@@ -80,21 +80,15 @@ def correct_detection_probability(gamma: float) -> float:
     return 1.0 - wrong_region_width(gamma) / (math.pi / 2.0)
 
 
-def simulated_detection_rate(
-    gamma: float,
-    trials: int,
-    rng: np.random.Generator,
-    noise_variance: float = 1e-6,
-    subblock_length: int = 8,
-    pilots_per_subblock: int = 1,
-) -> float:
+def simulated_detection_rate(gamma: float, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo check of the geometric prediction.
 
     Transmits the zero-phase pilot through a unit channel, rotates the prior
     estimate by a uniform angle in (0, pi/2), and classifies the sample by
     the sign of its pilot-vs-data log-likelihood ratio at a near-noiseless
-    operating point.
+    operating point (noise variance 1e-6, one pilot in eight samples).
     """
+    noise_variance = 1e-6
     data = build_data_alphabet(4)
     pilot = build_pilot_alphabet(4, gamma)
     delta = rng.uniform(0.0, math.pi / 2.0, trials)
@@ -103,9 +97,7 @@ def simulated_detection_rate(
     )
     channel = np.zeros((trials, 2), dtype=complex)
     channel[:, 0] = np.exp(-1j * delta)
-    eta = llr_values(
-        y, channel, data, pilot, subblock_length, pilots_per_subblock, noise_variance
-    )
+    eta = llr_values(y, channel, data, pilot, 8, 1, noise_variance)
     return float(np.mean(eta > 0))
 
 

@@ -44,6 +44,9 @@ __all__ = [
 
 _NULL_TOL = 1e-12
 
+# Smallest frequency-bin gain of a drawn impulse response.
+_MIN_CIR_GAIN = 0.3
+
 # Cap on block_length, so a block too large for memory fails when it is
 # built.  At the cap a trial holds a few MB, and its sliding correlation
 # (block_length * pilot_length products) takes well under a second.
@@ -236,16 +239,14 @@ def detect_start_index(correlations):
     return int(detected) if detected.ndim == 0 else detected
 
 
-def random_well_conditioned_cir(
-    length: int, rng: np.random.Generator, min_gain: float = 0.3
-) -> np.ndarray:
+def random_well_conditioned_cir(length: int, rng: np.random.Generator) -> np.ndarray:
     """Unit leading tap plus small random taps, redrawn until every frequency
-    bin stays above ``min_gain`` (checked on a dense grid)."""
+    bin stays above ``_MIN_CIR_GAIN`` (checked on a dense grid)."""
     while True:
         tail = 0.2 * (rng.normal(size=length - 1) + 1j * rng.normal(size=length - 1))
         taps = np.concatenate([[1.0 + 0.0j], tail])
         gains = np.fft.fft(taps, n=256)
-        if np.min(np.abs(gains)) >= min_gain:
+        if np.min(np.abs(gains)) >= _MIN_CIR_GAIN:
             return taps
 
 
@@ -264,9 +265,9 @@ def run_fsc_trials(
     trials: int,
     rng: np.random.Generator,
     data_points: np.ndarray,
-    pilot_seq: np.ndarray | None = None,
 ):
-    """Noiseless end-to-end round trips; returns (true, detected) start pairs.
+    """Noiseless end-to-end round trips of the Zadoff-Chu pilot; returns
+    (true, detected) start pairs.
 
     Each trial draws, in trial order, its index bits, its data symbol
     indices and a well-conditioned impulse response (whose redraws depend
@@ -279,9 +280,8 @@ def run_fsc_trials(
     :class:`SpectralNullError` for the chunk that holds it.
     """
     chunk_sizes = fsc_chunk_sizes(geometry, trials)
-    if pilot_seq is None:
-        pilot_seq = zadoff_chu(geometry.pilot_length)
-    chunk = _pilot_chunk(np.asarray(pilot_seq, dtype=complex), geometry.cp_length)
+    pilot_seq = zadoff_chu(geometry.pilot_length)
+    chunk = _pilot_chunk(pilot_seq, geometry.cp_length)
     n_bits, n_data, n_taps = fsc_index_bits(geometry), geometry.data_length, geometry.cir_length
     pairs = []
     for rows in chunk_sizes:

@@ -52,7 +52,7 @@ from .im_codec import (  # noqa: F401
     se_proposed,
 )
 from .impairments import TWO_PI, RxImpairments, TxImpairments
-from .rx_classical import _pilot_terms, detect_symbols, ls_estimate, mmse_estimate
+from .rx_classical import _LsPilotPart, _pilot_terms, detect_symbols, ls_estimate, mmse_estimate
 from .rx_turbo import DNP_MODES, TurboFrames, turbo_receive, turbo_receive_frames  # noqa: F401
 
 __all__ = [
@@ -109,11 +109,12 @@ _FINITE_FIELDS = (
 _LINEAR_RANGE = (1e-50, 1e50)
 
 # Bounds on what a batch may allocate, so that a config too large for memory
-# fails when it is built and not mid-run.  A batch draws every sample of its
-# frames at frame start.  Each block step compares every sample of its stack
-# with every point of both alphabets and, in the rescue of proposed_turbo,
-# with up to 3 * (pilots_per_block + 1) candidate fits.  Configs near either
-# cap peak at about half a GB.
+# fails when it is built and not mid-run.  A batch draws the bits and pilot
+# values of every block of its frames at frame start, and its noise one block
+# group at a time.  Each block step compares every sample of its stack with
+# every point of both alphabets and, in the rescue of proposed_turbo, with up
+# to 3 * (pilots_per_block + 1) candidate fits.  Measured near either cap
+# (numpy 2.4, Linux), runs peak at 320-380 MB resident.
 _MAX_ALPHABET_ORDER = 2**10
 _MAX_BATCH_SAMPLES = 2**24
 _MAX_STEP_DISTANCES = 2**24
@@ -375,7 +376,7 @@ class SystemConfig:
         data = build_data_alphabet(self.data_order)
         pilot = build_pilot_alphabet(self.pilot_order, self.gamma, data)
         if self.normalize_block_power:
-            power = self._block_power(data, pilot)
+            power = self.geometry.average_power(data, pilot)
             data = scaled(data, 1.0 / power)
             pilot = scaled(pilot, 1.0 / power)
         return data, pilot
@@ -389,15 +390,7 @@ class SystemConfig:
     def transmit_power(self) -> float:
         if self.classical:
             return 1.0
-        return self._block_power(*self.alphabets())
-
-    def _block_power(self, data: Constellation, pilot: Constellation) -> float:
-        """Average power of a block carrying these alphabets."""
-        g = self.geometry
-        return (
-            g.pilots_per_block * pilot.average_power
-            + g.data_per_block * data.average_power
-        ) / g.block_length
+        return self.geometry.average_power(*self.alphabets())
 
     def noise_variance_for(self, ebn0_db: float) -> float:
         """Thermal noise variance realizing the requested per-bit SNR, with
@@ -407,10 +400,9 @@ class SystemConfig:
 
 
 def _spans_both_axes(values) -> np.ndarray:
-    """Whether each pilot set (last axis) keeps its [p, conj(p)] matrix rank
-    two, i.e. its values do not all lie on one line through the origin."""
-    a, s2 = _pilot_terms(values)
-    return a - np.abs(s2) > 1e-9 * a
+    """Whether the least-squares fit resolves both paths from each pilot set
+    (last axis): the rank rule of :class:`impilot.rx_classical._LsPilotPart`."""
+    return _LsPilotPart.from_terms(*_pilot_terms(values)).solvable
 
 
 def _draw_pilots(rng, points: np.ndarray, blocks: int, count: int) -> np.ndarray:
@@ -551,10 +543,8 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     if classical:
         data_const = build_data_alphabet(config.data_order)
         pilots = _unit_preamble(g.preamble_length)
-        known = np.tile(np.arange(g.preamble_length), (frames * group, 1))
     else:
         data_const, pilot_const = config.alphabets()
-        transmit_power = config.transmit_power()
         offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
     if scheme == "classical_mmse":
         prior = _mmse_prior(config)
@@ -617,9 +607,7 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
                     pilot_const,
                     pilots[at],
                     rx,
-                    transmit_power,
                     max_iterations=config.max_iterations,
-                    use_stopping=config.use_stopping_rule,
                     dnp_mode=config.dnp_mode,
                 )
                 h_prior = result.channel_estimate
@@ -631,8 +619,14 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
             ))
             h_hat, rx_symbol_bits = out.channel_estimate, out.symbol_bits
             # The receiver's counts are integers, so the group's blocks are
-            # scored at once, in any order.
-            np.add.at(iteration_counts, (np.repeat(rows, n), out.iterations - 1), 1)
+            # scored at once, in any order.  The stopping rule ends a block at
+            # a fixed point.  Every other block, and every block with the rule
+            # off, counts the full budget: past a fixed point or a period-two
+            # oscillation further passes change nothing.
+            passes = config.max_iterations
+            if config.use_stopping_rule:
+                passes = np.where(out.converged, out.iterations, passes)
+            np.add.at(iteration_counts, (np.repeat(rows, n), passes - 1), 1)
             fallbacks += out.ls_fallbacks.reshape(frames, n).sum(axis=1)
             truth = index_bits.reshape(stack, g.subblocks, bits_per_sub)
             guess = out.index_bits.reshape(stack, g.subblocks, bits_per_sub)
@@ -644,17 +638,17 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
         else:
             # Known pilot positions: the preamble, or the true pattern.
             if classical:
-                positions = known[:stack]
+                received, data = y[:, : g.preamble_length], y[:, g.preamble_length :]
             else:
                 positions = (true_pattern + offsets).reshape(stack, -1)
-            received = np.take_along_axis(y, positions, axis=1)
+                received = np.take_along_axis(y, positions, axis=1)
+                is_data = np.ones(y.shape, dtype=bool)
+                np.put_along_axis(is_data, positions, False, axis=1)
+                data = y[is_data].reshape(stack, -1)
             if scheme == "classical_mmse":
                 h_hat = mmse_estimate(pilots, received, np.repeat(dnp, n), prior)
             else:
                 h_hat = ls_estimate(pilots, received)
-            is_data = np.ones(y.shape, dtype=bool)
-            np.put_along_axis(is_data, positions, False, axis=1)
-            data = y[is_data].reshape(stack, -1)
             rx_symbol_bits = detect_symbols(data, h_hat, data_const)
 
         wrong = np.count_nonzero(symbol_bits != rx_symbol_bits, axis=1)

@@ -197,6 +197,12 @@ class BlockGeometry:
     def symbol_bits_per_block(self, data_order: int) -> int:
         return self.data_per_block * (data_order.bit_length() - 1)
 
+    def average_power(self, data: Constellation, pilot: Constellation) -> float:
+        """Average power of a block carrying these alphabets."""
+        return (
+            self.pilots_per_block * pilot.average_power + self.data_per_block * data.average_power
+        ) / self.block_length
+
 
 def assemble_blocks(
     index_bits,
@@ -246,12 +252,13 @@ def assemble_blocks(
     return symbols, pattern
 
 
-def demap_patterns(pattern, subblock_length: int, pilots_per_subblock: int):
+def demap_patterns(pattern, subblock_length: int):
     """Inverse of :func:`assemble_blocks`'s pattern: the index bits
     (rows, subblocks * bits) and unmapped flags (rows, subblocks) of sorted
     0-based position sets (rows, subblocks, pilots).  A position set that no
     index word maps to reads as zero bits with its flag set."""
     pattern = np.asarray(pattern)
+    pilots_per_subblock = pattern.shape[-1]
     words = _words_of_offsets(pattern, subblock_length, pilots_per_subblock)
     bits = index_bits_per_subblock(subblock_length, pilots_per_subblock)
     index_bits = (np.maximum(words, 0)[..., None] >> np.arange(bits - 1, -1, -1)) & 1

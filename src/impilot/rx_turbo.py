@@ -206,8 +206,11 @@ def _with_each_left_out(terms, entries):
 class TurboFrames:
     """Receiver output for a stack of blocks, one row per frame.  ``pattern``
     holds 0-based offsets (frames, subblocks, pilots_per_subblock);
-    ``restarted`` marks rows that adopted a rescue candidate, ``flagged``
-    rows the consistency screen flagged."""
+    ``iterations`` is the number of passes run by the pass whose pattern the
+    row kept, and ``converged`` whether that pass ended at a fixed point (the
+    frame loop makes the stopping rule's count from the two); ``restarted``
+    marks rows that adopted a rescue candidate, ``flagged`` rows the
+    consistency screen flagged."""
 
     pattern: np.ndarray
     channel_estimate: np.ndarray
@@ -229,9 +232,7 @@ def turbo_receive(
     pilot_alphabet: Constellation,
     pilot_values,
     rx: RxImpairments,
-    transmit_power: float,
     max_iterations: int = 4,
-    use_stopping: bool = True,
     dnp_mode: str = "refresh",
 ) -> TurboFrames:
     """Run the full iterative receiver on one block: :func:`turbo_receive_frames`
@@ -244,9 +245,7 @@ def turbo_receive(
         pilot_alphabet,
         np.asarray(pilot_values, dtype=complex).reshape(1, -1),
         rx,
-        transmit_power,
         max_iterations=max_iterations,
-        use_stopping=use_stopping,
         dnp_mode=dnp_mode,
     )
 
@@ -259,9 +258,7 @@ def turbo_receive_frames(
     pilot_alphabet: Constellation,
     pilot_values,
     rx: RxImpairments,
-    transmit_power: float,
     max_iterations: int = 4,
-    use_stopping: bool = True,
     dnp_mode: str = "refresh",
 ) -> TurboFrames:
     """Run the full iterative receiver on one block of each of F frames.
@@ -269,7 +266,8 @@ def turbo_receive_frames(
     ``received`` is (F, block_length), ``prior_estimates`` (F, 2) and
     ``pilot_values`` (F, pilots_per_block).  ``rx.noise_variance`` is one
     value, or (F,) with one per row.  Each row's output equals that of the
-    row processed alone.
+    row processed alone.  The transmit power behind the received power
+    predictions is the geometry's average over the two alphabets.
 
     ``dnp_mode`` picks the distortion-plus-noise power used inside the
     ratio: "prior" keeps the value derived from the prior estimate for the
@@ -301,6 +299,7 @@ def turbo_receive_frames(
 
     # One noise variance per row, so that a row subset takes its own.
     noise = np.broadcast_to(np.asarray(rx.noise_variance, dtype=float), (frames,))
+    transmit_power = geometry.average_power(data_alphabet, pilot_alphabet)
     dnp_prior = prior_dnp(prior, rx, transmit_power)
 
     # The pilot halves of the LS fits depend on the pilot values alone, so
@@ -322,7 +321,8 @@ def turbo_receive_frames(
     def run_pass(rows, pattern):
         """Update the patterns of ``rows`` until each reaches a fixed point,
         a period-two oscillation or the budget.  Returns (pattern,
-        iterations, converged, oscillating, cycle_mate), one entry per row.
+        iterations, converged, oscillating, cycle_mate), one entry per row;
+        ``iterations`` counts the passes each row ran.
 
         The live rows' inputs (``ex``, ``values``, ``samples``, ``dnp``) and
         last two patterns (``current``, ``previous``) are kept compact, in
@@ -368,8 +368,7 @@ def turbo_receive_frames(
             new_pattern = _top_positions(eta, per_sub)
             # A repeated pattern is a fixed point: the extrinsic fits depend
             # only on (pattern, y), so further passes cannot change anything
-            # and the row may leave either way.  With the stopping rule off,
-            # the reported count is the full budget the run is equivalent to.
+            # and the row may leave whether or not the stopping rule is on.
             fixed = (new_pattern == current).all(axis=(1, 2))
             leaving = fixed
             # Simultaneous subblock updates can settle into a period-two
@@ -397,11 +396,6 @@ def turbo_receive_frames(
         iterations[live] = max_iterations
         pattern[live] = current
         fallbacks[rows] += iterations * extrinsic_fallbacks[rows]
-        if not use_stopping:
-            iterations[:] = max_iterations
-        # An oscillating pattern never satisfies the stopping criterion, so
-        # the early exit above stands in for a full-budget run.
-        iterations[oscillating] = max_iterations
         return pattern, iterations, converged, oscillating, cycle_mate
 
     # A subblock's j-th data position is j plus the number of its pilots p_k
@@ -440,18 +434,13 @@ def turbo_receive_frames(
         pilot_model = values[..., None, :] * h0 + np.conj(values[..., None, :]) * h1
         residual = np.sum(np.abs(samples[:, :, None] - pilot_model) ** 2, axis=-1)
         y_data = data_samples(rows, patterns)
-        # Nearest data candidate, one alphabet point at a time through two
-        # buffers, which keeps the temporaries at (rows, sources, fits, data
-        # samples).
+        # Nearest data candidate, one alphabet point at a time, which keeps
+        # the temporaries at (rows, sources, fits, data samples).
         points = data_alphabet.points[:, None, None, None, None]
         models = points * h0 + np.conj(points) * h1
-        nearest = np.full(residual.shape + (n_data,), np.inf)
-        diff = np.empty(nearest.shape, dtype=complex)
-        d2 = np.empty(nearest.shape)
-        for model in models:
-            np.subtract(y_data[:, :, None], model, out=diff)
-            np.square(np.abs(diff, out=d2), out=d2)
-            np.minimum(nearest, d2, out=nearest)
+        nearest = np.abs(y_data[:, :, None] - models[0]) ** 2
+        for model in models[1:]:
+            np.minimum(nearest, np.abs(y_data[:, :, None] - model) ** 2, out=nearest)
         return estimates, residual + np.sum(nearest, axis=-1), y_data
 
     measured_power = np.maximum(
@@ -544,7 +533,7 @@ def turbo_receive_frames(
         restarted[rows[second]] = True
 
     symbol_bits = detect_symbols(y_data, h_final, data_alphabet)
-    index_bits, unmapped = demap_patterns(pattern, sub_len, per_sub)
+    index_bits, unmapped = demap_patterns(pattern, sub_len)
 
     return TurboFrames(
         pattern=pattern,

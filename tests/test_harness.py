@@ -26,6 +26,7 @@ from impilot.harness import (
     _unit_preamble,
 )
 from impilot import harness
+from impilot.rx_classical import _LsPilotPart, _pilot_terms
 from impilot.constellation import build_pilot_alphabet
 from impilot.im_codec import BlockGeometry
 
@@ -312,6 +313,31 @@ def test_degenerate_pilot_sets_are_redrawn_from_the_same_stream():
     assert np.array_equal(values[kept], first[kept])
     again = _draw_pilots(np.random.default_rng(2), points, 50, 2)
     assert again.tobytes() == values.tobytes()
+
+
+class _Indices:
+    """A generator stand-in whose ``integers`` calls return the given index
+    arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size):
+        return np.reshape(self.draws.pop(0), size)
+
+
+def test_pilot_draw_keeps_exactly_the_sets_the_ls_fit_resolves():
+    # The first set is 3.75e-11 of its power away from one line through the
+    # origin, which the least-squares fit still resolves, so the draw keeps
+    # it; the second lies on that line, so it is redrawn.
+    points = np.array([1.0, np.exp(1e-5j), -1.0, 1j])
+    near, flat, spread = [0, 1, 0, 2], [0, 2, 0, 2], [0, 3, 0, 2]
+    a, s2 = _pilot_terms(points[near])
+    assert (a - abs(s2)) / a == pytest.approx(3.75e-11, rel=1e-4)
+    solvable = _LsPilotPart.from_terms(*_pilot_terms(points[[near, flat]])).solvable
+    assert solvable.tolist() == [True, False]
+    values = _draw_pilots(_Indices([near, flat], spread, spread), points, 2, 4)
+    assert np.array_equal(values, points[[near, spread]])
 
 
 def test_unit_preamble_rank():
@@ -703,6 +729,38 @@ def test_noiseless_static_channel_converges_first_pass():
     point = run_experiment(cfg).points[0]
     assert point.ber_overall == 0.0
     assert point.iteration_counts[0] == point.blocks
+
+
+@pytest.mark.parametrize("use_stopping_rule", [True, False])
+def test_frame_loop_counts_the_budget_unless_the_stopping_rule_ended_a_block(
+    use_stopping_rule, monkeypatch
+):
+    # At 0 dB with eight passes, blocks reach a fixed point early, oscillate
+    # or run out of budget.  The receiver reports the passes each block ran;
+    # the frame loop counts the full budget for every block that the rule
+    # did not end at a fixed point, and for every block with the rule off.
+    results = []
+    receive = harness.turbo_receive_frames
+
+    def recording(*args, **kwargs):
+        results.append(receive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "turbo_receive_frames", recording)
+    cfg = quiet_config(
+        ebn0_db=(0.0,), max_iterations=8, dnp_mode="refresh", use_stopping_rule=use_stopping_rule
+    )
+    point = run_experiment(cfg).points[0]
+    iterations = np.concatenate([r.iterations for r in results])
+    converged = np.concatenate([r.converged for r in results])
+    assert iterations.size == point.blocks
+    assert (converged & (iterations < 8)).any()
+    assert (~converged & (iterations < 8)).any()
+    assert (~converged & (iterations == 8)).any()
+    counted = np.where(converged & use_stopping_rule, iterations, 8)
+    assert point.iteration_counts == tuple(np.bincount(counted - 1, minlength=8))
+    if not use_stopping_rule:
+        assert point.iteration_counts == (0,) * 7 + (point.blocks,)
 
 
 def test_noiseless_classical_pipeline_is_error_free():

@@ -91,6 +91,13 @@ def test_geometry_properties():
     assert g.symbol_bits_per_block(4) == 112
 
 
+def test_average_power_weighs_each_alphabet_by_its_share_of_the_block():
+    data, pilot = build_data_alphabet(4), build_pilot_alphabet(4, 4.0)
+    assert BlockGeometry().average_power(data, pilot) == (8 * 4.0 + 56 * 1.0) / 64
+    # twelve pilots in 64 samples carry more power than the paper's eight
+    assert BlockGeometry(64, 4, 3).average_power(data, pilot) == 1.5625
+
+
 @pytest.mark.parametrize(
     "length,pilots", [(67, 33), (1000, 500), (10**9, 5 * 10**8)]
 )
@@ -254,7 +261,7 @@ def test_demap_patterns_flags_exactly_the_sets_without_a_word(n):
         sets, selected = _lexicographic_sets(n, k)
         word_of = {tuple(subset): w for w, subset in enumerate(selected.tolist())}
         expected = np.array([word_of.get(tuple(subset), -1) for subset in sets.tolist()])
-        bits, unmapped = demap_patterns(sets[None] - 1, n, k)
+        bits, unmapped = demap_patterns(sets[None] - 1, n)
         width = index_bits_per_subblock(n, k)
         words = bits.reshape(len(sets), width) @ (1 << np.arange(width - 1, -1, -1))
         assert np.array_equal(unmapped[0], expected < 0), (n, k)
@@ -280,9 +287,7 @@ def _check_demap_round_trip(geometry, rows, seed):
     symbol_bits = rng.integers(0, 2, (rows, geometry.symbol_bits_per_block(4)))
     values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
     symbols, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
-    bits, unmapped = demap_patterns(
-        pattern, geometry.subblock_length, geometry.pilots_per_subblock
-    )
+    bits, unmapped = demap_patterns(pattern, geometry.subblock_length)
     assert unmapped.shape == (rows, geometry.subblocks) and not unmapped.any()
     assert np.array_equal(bits, index_bits)
     # the samples off the pattern are the data symbols, in order

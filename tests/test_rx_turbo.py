@@ -256,32 +256,12 @@ def test_turbo_noiseless_converges_immediately():
             PILOT,
             values,
             make_rx(1e-12),
-            TRANSMIT_POWER,
         )
         assert result.converged[0] and result.iterations[0] == 1
         assert np.array_equal(result.pattern, pattern)
         assert np.array_equal(result.index_bits[0], index_bits)
         assert np.array_equal(result.symbol_bits[0], symbol_bits)
         assert not result.unmapped.any()
-
-
-def test_turbo_fixed_budget_reports_full_count():
-    rng = np.random.default_rng(9)
-    symbols, pattern, values, *_ = random_block(rng)
-    result = turbo_receive(
-        symbols,
-        np.array([1.0, 0.0]),
-        GEOMETRY,
-        DATA,
-        PILOT,
-        values,
-        make_rx(1e-12),
-        TRANSMIT_POWER,
-        max_iterations=4,
-        use_stopping=False,
-    )
-    assert result.iterations[0] == 4
-    assert np.array_equal(result.pattern, pattern)
 
 
 def reference_iteration(y, pattern_prev, values, dnp, order):
@@ -323,8 +303,8 @@ def test_iteration_is_order_independent_and_matches_engine():
         assert np.array_equal(forward, backward)
         assert np.array_equal(forward, shuffled)
         result = turbo_receive(
-            y, prior, GEOMETRY, DATA, PILOT, values, rx, TRANSMIT_POWER,
-            max_iterations=1, use_stopping=True, dnp_mode="prior",
+            y, prior, GEOMETRY, DATA, PILOT, values, rx,
+            max_iterations=1, dnp_mode="prior",
         )
         if not result.restarted[0]:
             assert np.array_equal(result.pattern, forward)
@@ -348,8 +328,7 @@ def test_converged_pattern_is_fixed_point():
         )
         prior = h
         result = turbo_receive(
-            y, prior, GEOMETRY, DATA, PILOT, values, rx, TRANSMIT_POWER,
-            dnp_mode="prior",
+            y, prior, GEOMETRY, DATA, PILOT, values, rx, dnp_mode="prior",
         )
         if not result.converged[0] or result.restarted[0]:
             continue
@@ -394,7 +373,6 @@ def test_unmapped_pattern_scores_as_flagged():
         PILOT,
         values,
         make_rx(1e-12),
-        TRANSMIT_POWER,
     )
     assert np.array_equal(result.pattern, [[[0, 2]] * 4])
     assert result.unmapped.all()
@@ -418,8 +396,7 @@ def test_lock_regression_degenerate_pilots_rotated_prior():
         )
         prior = np.array([np.exp(-1j * delta), 0.0])
         result = turbo_receive(
-            y, prior, GEOMETRY, DATA, PILOT, values, make_rx(1e-4),
-            TRANSMIT_POWER, dnp_mode="prior",
+            y, prior, GEOMETRY, DATA, PILOT, values, make_rx(1e-4), dnp_mode="prior",
         )
         bad += np.count_nonzero(np.any(result.pattern != pattern, axis=-1))
     assert bad == 0
@@ -431,18 +408,18 @@ def test_turbo_validation():
     with pytest.raises(ValueError):
         turbo_receive(
             block, np.array([1.0, 0.0]), GEOMETRY, DATA, PILOT, values,
-            make_rx(1.0), 1.0, max_iterations=0,
+            make_rx(1.0), max_iterations=0,
         )
     with pytest.raises(ValueError):
         turbo_receive(
             block, np.array([1.0, 0.0]), GEOMETRY, DATA, PILOT, values,
-            make_rx(1.0), 1.0, dnp_mode="other",
+            make_rx(1.0), dnp_mode="other",
         )
     tiny = BlockGeometry(block_length=8, subblocks=2, pilots_per_subblock=1)
     with pytest.raises(ValueError):
         turbo_receive(
             np.zeros(8, dtype=complex), np.array([1.0, 0.0]), tiny, DATA, PILOT,
-            PILOT.points[:2], make_rx(1.0), 1.0,
+            PILOT.points[:2], make_rx(1.0),
         )
 
 
@@ -472,15 +449,14 @@ def test_stacked_rows_match_one_block_calls():
     options = dict(max_iterations=8, dnp_mode="refresh")
     stacked = turbo_receive_frames(
         np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
-        rx, TRANSMIT_POWER, **options,
+        rx, **options,
     )
     assert stacked.restarted.any()
     assert not (stacked.restarted & ~stacked.flagged).any()
     assert len(set(stacked.iterations.tolist())) > 3
     for f in range(60):
         alone = turbo_receive(
-            received[f], priors[f], GEOMETRY, DATA, PILOT, pilots[f], rx,
-            TRANSMIT_POWER, **options,
+            received[f], priors[f], GEOMETRY, DATA, PILOT, pilots[f], rx, **options
         )
         assert_row_matches(stacked, f, alone)
 
@@ -505,20 +481,20 @@ def test_per_row_noise_variance_matches_one_row_calls(dnp_mode):
     options = dict(max_iterations=8, dnp_mode=dnp_mode)
     stacked = turbo_receive_frames(
         np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
-        make_rx(variances, 0.02), TRANSMIT_POWER, **options,
+        make_rx(variances, 0.02), **options,
     )
     assert stacked.flagged.any()
     assert len(set(stacked.iterations.tolist())) > 2
     for f in range(frames):
         alone = turbo_receive(
             received[f], priors[f], GEOMETRY, DATA, PILOT, pilots[f],
-            make_rx(variances[f], 0.02), TRANSMIT_POWER, **options,
+            make_rx(variances[f], 0.02), **options,
         )
         assert_row_matches(stacked, f, alone)
     with pytest.raises(ValueError):
         turbo_receive_frames(
             np.stack(received), np.stack(priors), GEOMETRY, DATA, PILOT, np.stack(pilots),
-            make_rx(variances[:-1], 0.02), TRANSMIT_POWER, **options,
+            make_rx(variances[:-1], 0.02), **options,
         )
 
 
@@ -565,7 +541,7 @@ def test_screen_rarely_flags_noise_only_blocks():
         + math.sqrt(noise_variance / 2) * noise
     )
     result = turbo_receive_frames(
-        received, h, GEOMETRY, DATA, PILOT, pilots, make_rx(noise_variance), TRANSMIT_POWER
+        received, h, GEOMETRY, DATA, PILOT, pilots, make_rx(noise_variance)
     )
     assert result.converged.all()
     assert result.flagged.sum() <= 60
@@ -581,11 +557,10 @@ def test_screen_rarely_flags_noise_only_blocks():
     noise_variance=st.floats(0.001, 1.0),
     dnp_mode=st.sampled_from(["prior", "refresh"]),
     max_iterations=st.integers(1, 8),
-    use_stopping=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_rows_match_one_block_calls_for_any_geometry(
-    shape, frames, noise_variance, dnp_mode, max_iterations, use_stopping, seed
+    shape, frames, noise_variance, dnp_mode, max_iterations, seed
 ):
     block_length, subblocks, pilots_per_subblock = shape
     geometry = BlockGeometry(block_length, subblocks, pilots_per_subblock)
@@ -604,16 +579,13 @@ def test_stacked_rows_match_one_block_calls_for_any_geometry(
     )
     priors = h * np.exp(1j * rng.uniform(-0.8, 0.8, (frames, 1)))
     rx = make_rx(noise_variance, 0.01)
-    options = dict(
-        max_iterations=max_iterations, use_stopping=use_stopping, dnp_mode=dnp_mode
-    )
+    options = dict(max_iterations=max_iterations, dnp_mode=dnp_mode)
     stacked = turbo_receive_frames(
-        received, priors, geometry, DATA, PILOT, pilots, rx, TRANSMIT_POWER, **options
+        received, priors, geometry, DATA, PILOT, pilots, rx, **options
     )
     for f in range(frames):
         alone = turbo_receive(
-            received[f], priors[f], geometry, DATA, PILOT, pilots[f], rx,
-            TRANSMIT_POWER, **options,
+            received[f], priors[f], geometry, DATA, PILOT, pilots[f], rx, **options
         )
         assert_row_matches(stacked, f, alone)
 
@@ -622,7 +594,7 @@ def test_stacked_rows_match_one_block_calls_for_any_geometry(
 def test_position_table_matches_rank_indices(n, k):
     # the receiver reads its index words through demap_patterns
     subsets = list(itertools.combinations(range(n), k))
-    bits, unmapped = demap_patterns(np.array([subsets]), n, k)
+    bits, unmapped = demap_patterns(np.array([subsets]), n)
     bits = bits.reshape(len(subsets), -1)
     for subset, word, flagged in zip(subsets, bits, unmapped[0]):
         try:
