@@ -114,7 +114,7 @@ _LINEAR_RANGE = (1e-50, 1e50)
 # group at a time.  Each block step compares every sample of its stack with
 # every point of both alphabets and, in the rescue of proposed_turbo, with up
 # to 3 * (pilots_per_block + 1) candidate fits.  Measured near either cap
-# (numpy 2.4, Linux), runs peak at 320-380 MB resident.
+# (numpy 2.4, Linux), runs peaked at up to 380 MB resident.
 _MAX_ALPHABET_ORDER = 2**10
 _MAX_BATCH_SAMPLES = 2**24
 _MAX_STEP_DISTANCES = 2**24

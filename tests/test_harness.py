@@ -26,9 +26,9 @@ from impilot.harness import (
     _unit_preamble,
 )
 from impilot import harness
-from impilot.rx_classical import _LsPilotPart, _pilot_terms
 from impilot.constellation import build_pilot_alphabet
 from impilot.im_codec import BlockGeometry
+from impilot.rx_classical import _LsPilotPart, _pilot_terms
 
 SMALL = BlockGeometry(blocks_per_frame=20)
 
