@@ -22,7 +22,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -116,6 +116,10 @@ _LINEAR_RANGE = (1e-50, 1e50)
 # to 3 * (pilots_per_block + 1) candidate fits.  Measured near either cap
 # (numpy 2.4, Linux), runs peaked at up to 380 MB resident.
 _MAX_ALPHABET_ORDER = 2**10
+# Each frame of a stack keeps one int64 count per pass of the budget
+# (proposed_turbo only): at the largest turbo stack the caps below admit,
+# about 155,000 frames of 6-sample blocks, 2**6 passes take about 80 MB.
+_MAX_ITERATIONS = 2**6
 _MAX_BATCH_SAMPLES = 2**24
 _MAX_STEP_DISTANCES = 2**24
 # Rows that one step of the frame loop aims at: over F frames it stacks
@@ -128,7 +132,17 @@ _STEP_ROWS = 256
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Every scalar knob of one experiment."""
+    """Every scalar knob of one experiment.
+
+    ``use_stopping_rule`` changes the iteration counts and nothing else.  The
+    receiver leaves a block at a fixed point or a period-two oscillation with
+    the rule on or off, so the rule acts in one place, where
+    :func:`_simulate_frames` counts a block's passes: with it on, a block
+    that converged counts the passes it ran, and every other block counts the
+    full budget, as every block does with it off.  So it moves the
+    ``iter1..iter4`` columns and, as a field of :meth:`to_dict`, the
+    ``config_hash``; :func:`run_iteration_histogram` turns it on.
+    """
 
     geometry: BlockGeometry = BlockGeometry()
     data_order: int = 4
@@ -211,8 +225,10 @@ class SystemConfig:
             raise ValueError("batch_frames must be >= 1")
         if self.min_bit_errors < 0:
             raise ValueError("min_bit_errors must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= _MAX_ITERATIONS:
+            raise ValueError(
+                f"max_iterations must be in 1..{_MAX_ITERATIONS}, got {self.max_iterations}"
+            )
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self._check_size()
@@ -304,8 +320,9 @@ class SystemConfig:
         ]
         if not self.classical:
             checks.append(("gamma", "pilot power", lambda: self.alphabets()[1].average_power))
+        variance = cache(self._noise_variance)  # first called once the checks above pass
         checks += [
-            (f"ebn0_db {v:g}", "noise variance", partial(self.noise_variance_for, v))
+            (f"ebn0_db {v:g}", "noise variance", lambda v=v: variance()(v))
             for v in self.ebn0_db
         ]
         low, high = _LINEAR_RANGE
@@ -395,8 +412,12 @@ class SystemConfig:
     def noise_variance_for(self, ebn0_db: float) -> float:
         """Thermal noise variance realizing the requested per-bit SNR, with
         average received power power_gain * P_t."""
-        received = self.power_gain * self.transmit_power()
-        return received / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
+        return self._noise_variance()(ebn0_db)
+
+    def _noise_variance(self):
+        """:meth:`noise_variance_for` as a function, with the alphabets built once."""
+        received, efficiency = self.power_gain * self.transmit_power(), self.spectral_efficiency()
+        return lambda ebn0_db: received / (efficiency * 10.0 ** (ebn0_db / 10.0))
 
 
 def _spans_both_axes(values) -> np.ndarray:
@@ -517,9 +538,9 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     whole stack at once; proposed_turbo, whose estimate of block k seeds
     block k+1, receives it one block at a time.
 
-    Returns int64 counts, columns ``_COUNTS`` then the blocks settled after
-    each of the ``max_iterations`` passes (zero but for proposed_turbo), and
-    float64 ``(mse_num, mse_den)``.
+    Returns int64 counts, columns ``_COUNTS`` then (proposed_turbo only) the
+    blocks settled after each of the ``max_iterations`` passes, and float64
+    ``(mse_num, mse_den)``.
     """
     points, trials = np.asarray(frame_keys, dtype=np.int64).reshape(-1, 2).T
     rngs = [
@@ -530,7 +551,7 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     ]
     g = config.geometry
     tx = config.tx_impairments()
-    variances = np.array([config.noise_variance_for(v) for v in config.ebn0_db])[points]
+    variances = np.array(list(map(config._noise_variance(), config.ebn0_db)))[points]
     rx = RxImpairments(distortion_level=config.distortion_level, noise_variance=variances)
     scheme = config.scheme
     classical = config.classical
@@ -553,7 +574,7 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     rows = np.arange(frames)
     bits_per_sub = g.index_bits_per_subblock
 
-    counts = np.zeros((frames, len(_COUNTS) + config.max_iterations), dtype=np.int64)
+    counts = np.zeros((frames, len(_COUNTS) + turbo * config.max_iterations), dtype=np.int64)
     # column views, so each += adds into ``counts``
     index_bit_errors, symbol_bit_errors, pattern_errors, fallbacks = counts.T[: len(_COUNTS)]
     iteration_counts = counts[:, len(_COUNTS) :]
@@ -813,13 +834,12 @@ def run_gamma_sweep(
     config: SystemConfig, gamma_grid=GAMMA_GRID_DEFAULT, workers: int = 1
 ) -> list:
     """One experiment per pilot power ratio; the shared master seed pairs the
-    random draws across ratios for low-variance comparisons."""
+    random draws across ratios for low-variance comparisons.  Every ratio's
+    config is built, and so checked, before the first runs."""
     if not gamma_grid:
         raise ValueError("gamma grid must not be empty")
-    return [
-        run_experiment(replace(config, gamma=float(gamma)), workers=workers)
-        for gamma in gamma_grid
-    ]
+    configs = [replace(config, gamma=float(gamma)) for gamma in gamma_grid]
+    return [run_experiment(c, workers=workers) for c in configs]
 
 
 def run_iteration_histogram(config: SystemConfig, workers: int = 1) -> ExperimentResult:

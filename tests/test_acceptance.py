@@ -78,13 +78,11 @@ def mse_sweep():
 def ber_curves():
     grid = tuple(float(v) for v in range(8, 18))
     base = paper_setup(ebn0_db=grid, trials=60, min_bit_errors=400, batch_frames=10)
+    # One turbo run: the stopping rule changes only the iteration counts
+    # (test_harness.py::test_stopping_rule_changes_only_the_iteration_counts).
     curves = {}
     curves["proposed"] = [
         (p.ebn0_db, p.ber_overall) for p in run_experiment(base).points
-    ]
-    stopping = replace(base, use_stopping_rule=True)
-    curves["proposed_stop"] = [
-        (p.ebn0_db, p.ber_overall) for p in run_experiment(stopping).points
     ]
     classical = replace(base, scheme="classical_ls")
     curves["classical"] = [
@@ -170,15 +168,13 @@ def test_c02_mse_tracks_lower_bound_and_improves_with_iterations(mse_sweep):
 
 def test_c03_ber_gain_over_classical(ber_curves):
     cross_prop = log_interpolated_crossing(ber_curves["proposed"])
-    cross_stop = log_interpolated_crossing(ber_curves["proposed_stop"])
     cross_classical = log_interpolated_crossing(ber_curves["classical"])
     gain = cross_classical - cross_prop
-    stop_shift = abs(cross_stop - cross_prop)
     report(
         3,
-        1.0 <= gain <= 2.0 and stop_shift <= 0.2,
+        1.0 <= gain <= 2.0,
         f"1e-3 crossing: proposed {cross_prop:.2f} dB, classical {cross_classical:.2f} dB, "
-        f"gain {gain:.2f} dB; stopping-rule shift {stop_shift:.3f} dB",
+        f"gain {gain:.2f} dB",
     )
 
 

@@ -210,8 +210,13 @@ def test_config_from_dict_rejects_a_split_beyond_int64_ranks():
             {"trials": 25, "geometry": {"block_length": 2048, "subblocks": 1024}},
             "(data_order + pilot_order + 3 * (pilots_per_block + 1)) is 157849600 distances",
         ),
+        # a run would keep one count per pass: 10**9 for every frame of a stack
+        ({"max_iterations": 10**9}, "max_iterations must be in 1..64, got 1000000000"),
     ],
-    ids=["block_length", "data_order", "pilot_order", "classical_data_order", "step", "rescue"],
+    ids=[
+        "block_length", "data_order", "pilot_order", "classical_data_order", "step", "rescue",
+        "max_iterations",
+    ],
 )
 def test_config_from_dict_rejects_batches_too_large_to_hold(data, message):
     # refused from the counts alone, before any alphabet or draw is built
@@ -244,6 +249,9 @@ def test_size_caps_admit_configs_up_to_their_bounds():
     SystemConfig(data_order=1024, pilot_order=1024)
     with pytest.raises(ValueError, match="data_order must be <= 1024"):
         SystemConfig(data_order=2048)
+    SystemConfig(max_iterations=64)
+    with pytest.raises(ValueError, match="max_iterations must be in 1..64, got 65"):
+        SystemConfig(max_iterations=65)
 
 
 @pytest.mark.parametrize("subblock_length,pilots", [(32, 16), (66, 33), (68, 60)])
@@ -569,7 +577,9 @@ def test_frame_tally_does_not_depend_on_its_lockstep_chunk(overrides):
     cfg = replace(cfg, ebn0_db=(20.0,) + cfg.ebn0_db)
     keys = [(point, trial) for point in (0, 1) for trial in range(5)]
     counts, mse = _simulate_frames(cfg, keys)
-    assert counts.dtype == np.int64 and counts.shape == (10, 4 + cfg.max_iterations)
+    # one column per pass for proposed_turbo only
+    passes = cfg.max_iterations if cfg.scheme == "proposed_turbo" else 0
+    assert counts.dtype == np.int64 and counts.shape == (10, 4 + passes)
     assert mse.dtype == np.float64 and mse.shape == (10, 2)
     for row, key in enumerate(keys):
         alone = _simulate_frames(cfg, [key])
@@ -763,6 +773,47 @@ def test_frame_loop_counts_the_budget_unless_the_stopping_rule_ended_a_block(
         assert point.iteration_counts == (0,) * 7 + (point.blocks,)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # oscillations, and the consistency screen's rescue
+        dict(ebn0_db=(0.0,), max_iterations=8, dnp_mode="refresh"),
+        # the error target stops the points at different frame counts
+        dict(ebn0_db=(0.0, 4.0, 8.0, 12.0), trials=6, batch_frames=2, min_bit_errors=45),
+        # wide alphabets, a static channel and a normalized block power
+        dict(
+            data_order=16, pilot_order=8, fading_mode="quasi_static", normalize_block_power=True
+        ),
+    ],
+    ids=["refresh", "error_target", "wide_alphabets"],
+)
+def test_stopping_rule_changes_only_the_iteration_counts(overrides):
+    # The receiver leaves a block at a fixed point or a period-two
+    # oscillation with the rule on or off; the rule only decides how the
+    # frame loop counts the block's passes.
+    on, off = (
+        run_experiment(quiet_config(use_stopping_rule=rule, **overrides)) for rule in (True, False)
+    )
+    for a, b in zip(on.points, off.points, strict=True):
+        assert replace(a, iteration_counts=()) == replace(b, iteration_counts=())
+        # with the rule off every block counts the full budget
+        assert b.iteration_counts[-1] == b.blocks
+    if len(off.points) > 1:
+        assert len({p.frames for p in off.points}) > 1
+    names = CSV_HEADER.split(",")
+    kept = [i for i, name in enumerate(names) if not re.fullmatch(r"iter\d|config_hash", name)]
+    for row_on, row_off in zip(on.csv_rows(), off.csv_rows(), strict=True):
+        cells_on, cells_off = row_on.split(","), row_off.split(",")
+        assert [cells_on[i] for i in kept] == [cells_off[i] for i in kept]
+
+    def passes(result):
+        return sum(
+            k * count for p in result.points for k, count in enumerate(p.iteration_counts, 1)
+        )
+
+    assert passes(on) < passes(off)
+
+
 def test_noiseless_classical_pipeline_is_error_free():
     for scheme in ("classical_ls", "classical_mmse", "lower_bound_perfect_pattern"):
         cfg = quiet_config(
@@ -913,6 +964,16 @@ def test_gamma_sweep_runs_per_ratio():
     assert [r.config.gamma for r in results] == [2.0, 4.0]
     with pytest.raises(ValueError):
         run_gamma_sweep(cfg, gamma_grid=())
+
+
+def test_gamma_sweep_checks_every_ratio_before_running_any(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda config, workers: runs.append(config))
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        run_gamma_sweep(quiet_config(), (2.0, 4.0, -1.0))
+    assert runs == []
+    run_gamma_sweep(quiet_config(), (2.0, 4.0))
+    assert [config.gamma for config in runs] == [2.0, 4.0]
 
 
 def test_iteration_histogram_forces_protocol():
