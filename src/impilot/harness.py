@@ -116,9 +116,8 @@ _LINEAR_RANGE = (1e-50, 1e50)
 # to 3 * (pilots_per_block + 1) candidate fits.  Measured near either cap
 # (numpy 2.4, Linux), runs peaked at up to 380 MB resident.
 _MAX_ALPHABET_ORDER = 2**10
-# Each frame of a stack keeps one int64 count per pass of the budget
-# (proposed_turbo only): at the largest turbo stack the caps below admit,
-# about 155,000 frames of 6-sample blocks, 2**6 passes take about 80 MB.
+# One int64 count per pass for each proposed_turbo frame of a stack: 2**6
+# passes take 85 MB at the largest stack the caps below admit (155,344 frames).
 _MAX_ITERATIONS = 2**6
 _MAX_BATCH_SAMPLES = 2**24
 _MAX_STEP_DISTANCES = 2**24
@@ -134,14 +133,11 @@ _STEP_ROWS = 256
 class SystemConfig:
     """Every scalar knob of one experiment.
 
-    ``use_stopping_rule`` changes the iteration counts and nothing else.  The
-    receiver leaves a block at a fixed point or a period-two oscillation with
-    the rule on or off, so the rule acts in one place, where
-    :func:`_simulate_frames` counts a block's passes: with it on, a block
-    that converged counts the passes it ran, and every other block counts the
-    full budget, as every block does with it off.  So it moves the
-    ``iter1..iter4`` columns and, as a field of :meth:`to_dict`, the
-    ``config_hash``; :func:`run_iteration_histogram` turns it on.
+    ``use_stopping_rule`` moves only the ``iter1..iter4`` columns and, as a
+    :meth:`to_dict` field, the ``config_hash``.  The receiver leaves a block at
+    a fixed point or a period-two oscillation with the rule on or off; the rule
+    acts only where :func:`_simulate_frames` counts passes, a converged block's
+    as run and every other block's as the full budget (every block's, off).
     """
 
     geometry: BlockGeometry = BlockGeometry()
@@ -843,7 +839,8 @@ def run_gamma_sweep(
 
 
 def run_iteration_histogram(config: SystemConfig, workers: int = 1) -> ExperimentResult:
-    """Iteration-count statistics: stopping rule on, budget of four passes."""
+    """Iteration-count statistics: stopping rule on, budget of four passes.
+    The protocol is set on the config, so the CSV's ``config_hash`` names it."""
     cfg = replace(
         config, scheme="proposed_turbo", use_stopping_rule=True, max_iterations=4
     )
