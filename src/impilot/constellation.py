@@ -124,8 +124,10 @@ def map_bits_array(bits: np.ndarray, constellation: Constellation) -> np.ndarray
     b = constellation.bits_per_symbol
     if bits.size % b:
         raise ValueError(f"bit count {bits.size} not a multiple of {b}")
-    groups = bits.reshape(-1, b).astype(np.int64)
-    weights = 1 << np.arange(b - 1, -1, -1)
-    words = groups @ weights
-    return constellation.points[constellation._word_to_index[words]]
+    groups = bits.reshape(-1, b)
+    words = groups[:, 0].astype(np.intp)
+    for column in range(1, b):
+        words <<= 1
+        words |= groups[:, column]
+    return np.take(constellation.points, np.take(constellation._word_to_index, words))
 

@@ -228,8 +228,7 @@ class SystemConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self._check_size()
-        self._check_runnable()
-        self._check_linear_range()
+        self._check_linear_range(self._check_runnable())
 
     def _frame_size(self) -> tuple[int, int]:
         """What one frame adds to a lockstep stack: the samples it draws,
@@ -265,10 +264,12 @@ class SystemConfig:
                 f"distances per block step, over the cap of {_MAX_STEP_DISTANCES}"
             )
 
-    def _check_runnable(self) -> None:
+    def _check_runnable(self) -> tuple[Constellation, Constellation] | None:
         """Reject the scheme/geometry/alphabet combinations that would hang
         or fail mid-run: every least-squares fit of the two channel entries
-        needs two pilots whose values are not all on one line."""
+        needs two pilots whose values are not all on one line.  Returns the
+        alphabets of a flexible scheme, built once for the checks after it,
+        and None for a classical one."""
         g = self.geometry
         if self.classical:
             if g.preamble_length < 2:
@@ -276,7 +277,7 @@ class SystemConfig:
                     f"geometry.preamble_length must be >= 2 for {self.scheme}, "
                     f"got {g.preamble_length}"
                 )
-            return
+            return None
         if g.init_preamble_length < 2:
             raise ValueError(
                 f"geometry.init_preamble_length must be >= 2 for {self.scheme}, "
@@ -288,7 +289,7 @@ class SystemConfig:
                 "never give the [p, conj(p)] fit rank two"
             )
         try:
-            self.alphabets()
+            alphabets = self.alphabets()
         except ValueError as err:
             raise ValueError(
                 f"gamma={self.gamma} with pilot_order={self.pilot_order}: {err}"
@@ -306,17 +307,20 @@ class SystemConfig:
                 "geometry.subblocks * geometry.pilots_per_subblock must be >= 2 "
                 f"for {self.scheme}, got {g.pilots_per_block}"
             )
+        return alphabets
 
-    def _check_linear_range(self) -> None:
+    def _check_linear_range(self, alphabets) -> None:
         """Reject fields whose derived linear quantities leave
-        ``_LINEAR_RANGE``, where a run would overflow or divide by zero."""
+        ``_LINEAR_RANGE``, where a run would overflow or divide by zero.
+        ``alphabets`` is what :meth:`_check_runnable` returned."""
         checks = [
             ("distortion_level_db", "distortion level", lambda: self.distortion_level),
             ("path_gain and amplitude_imbalance", "power gain", lambda: self.power_gain),
         ]
-        if not self.classical:
-            checks.append(("gamma", "pilot power", lambda: self.alphabets()[1].average_power))
-        variance = cache(self._noise_variance)  # first called once the checks above pass
+        if alphabets is not None:
+            checks.append(("gamma", "pilot power", lambda: alphabets[1].average_power))
+        # first called once the checks above pass
+        variance = cache(lambda: self._noise_variance(alphabets))
         checks += [
             (f"ebn0_db {v:g}", "noise variance", lambda v=v: variance()(v))
             for v in self.ebn0_db
@@ -410,9 +414,14 @@ class SystemConfig:
         average received power power_gain * P_t."""
         return self._noise_variance()(ebn0_db)
 
-    def _noise_variance(self):
-        """:meth:`noise_variance_for` as a function, with the alphabets built once."""
-        received, efficiency = self.power_gain * self.transmit_power(), self.spectral_efficiency()
+    def _noise_variance(self, alphabets=None):
+        """:meth:`noise_variance_for` as a function, with the alphabets built
+        once, or taken from ``alphabets`` when it is given."""
+        if alphabets is None:
+            power = self.transmit_power()
+        else:
+            power = self.geometry.average_power(*alphabets)
+        received, efficiency = self.power_gain * power, self.spectral_efficiency()
         return lambda ebn0_db: received / (efficiency * 10.0 ** (ebn0_db / 10.0))
 
 

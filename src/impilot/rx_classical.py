@@ -174,6 +174,6 @@ def detect_symbols(received, channel_estimate, constellation: Constellation) -> 
     idx = np.zeros(received.shape, dtype=np.intp)
     for i in range(1, points.size):
         d2 = np.abs(received - model[:, i : i + 1]) ** 2
-        idx[d2 < best] = i
+        np.putmask(idx, d2 < best, i)
         np.minimum(best, d2, out=best)
-    return constellation.label_bits[idx].reshape(received.shape[0], -1)
+    return np.take(constellation.label_bits, idx, axis=0).reshape(received.shape[0], -1)

@@ -188,6 +188,38 @@ def test_well_conditioned_cir():
         assert gains.min() >= 0.3
 
 
+@st.composite
+def hard_tails(draw):
+    """Draws (real parts, then imaginary parts, over 0.2) of a two- or
+    three-tap tail whose taps all point against the unit tap at one bin of
+    the 256-point grid, up to phase slips of 1e-6, with magnitudes that sum
+    to within 1e-6 of 1 - _MIN_CIR_GAIN.  Its smallest gain is then the
+    triangle bound 1 - sum |t| to within 1e-9, on the edge of the check."""
+    k = draw(st.integers(0, 255))
+    total = 1 - fsc._MIN_CIR_GAIN + draw(st.floats(-1e-6, 1e-6))
+    share = draw(st.one_of(st.just(1.0), st.floats(0, 1)))
+    magnitudes = [total * share, total * (1 - share)][: draw(st.integers(1, 2))]
+    taps = np.array([
+        -a * np.exp(1j * (2 * np.pi * k * m / 256 + draw(st.floats(-1e-6, 1e-6))))
+        for m, a in enumerate(magnitudes, start=1)
+    ])
+    return np.concatenate([taps.real, taps.imag]) / 0.2
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws=hard_tails())
+@example(draws=np.array([-fsc._FAST_ACCEPT, 0.0]) / 0.2)  # bin 0
+@example(draws=np.array([0.35, -0.35, 0.0, 0.0]) / 0.2)  # bin 128
+def test_fast_accept_implies_the_fft_check(draws):
+    n = draws.size // 2
+    bound = 1 - 0.2 * np.abs(draws[:n] + 1j * draws[n:]).sum()
+    gains = np.abs(np.fft.fft(fsc._taps_from_draws(draws), 256))
+    assert gains.min() == pytest.approx(bound, abs=1e-9)
+    if fsc._fast_accept(draws):
+        assert gains.min() >= fsc._MIN_CIR_GAIN
+        assert fsc._fft_accept(draws)
+
+
 def test_round_trip_recovers_start_and_bits():
     rng = np.random.default_rng(3)
     geo = FscGeometry()
@@ -314,19 +346,20 @@ def test_pairs_do_not_depend_on_the_chunk(geo, monkeypatch):
     # be equalized with its own trial's impulse response.
     trials = 20
     whole = run_fsc_trials(geo, trials, np.random.default_rng(9), DATA_POINTS)
-    draw_cir, equalize = fsc.random_well_conditioned_cir, fsc.zf_fde
+    draw_tail, equalize = fsc._draw_tail, fsc.zf_fde
     drawn, used, heights = [], [], []
 
     def drawing(*args):
-        drawn.append(draw_cir(*args))
-        return drawn[-1]
+        draws = draw_tail(*args)
+        drawn.append(fsc._taps_from_draws(draws))
+        return draws
 
     def recording(received, cir, cp_length):
         heights.append(received.shape[0])
         used.extend(cir)
         return equalize(received, cir, cp_length)
 
-    monkeypatch.setattr(fsc, "random_well_conditioned_cir", drawing)
+    monkeypatch.setattr(fsc, "_draw_tail", drawing)
     monkeypatch.setattr(fsc, "zf_fde", recording)
     for per_chunk, expected in [(1, [1] * trials), (7, [7, 7, 6])]:
         monkeypatch.setattr(fsc, "_CHUNK_SAMPLES", per_chunk * geo.block_length)

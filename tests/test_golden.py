@@ -42,7 +42,7 @@ from pathlib import Path
 
 import pytest
 
-from impilot import cli, harness
+from impilot import cli, fsc, harness
 from impilot.harness import SystemConfig, run_experiment, run_gamma_sweep, write_csv
 from impilot.im_codec import BlockGeometry
 
@@ -222,6 +222,25 @@ def test_gamma_sweep_sums_match_golden_bits(name, gamma_results):
 @pytest.mark.parametrize("name", sorted(FSC_CASES))
 def test_fsc_csv_matches_golden_bytes(name):
     assert run_fsc_case(name) == golden_path(name).read_bytes()
+
+
+# FFT checks of each fsc case's tail draws, (accepted, redrawn); every other
+# draw is accepted by its magnitude sum alone.
+FSC_FFT_CHECKS = {"fsc": (0, 5), "fsc_128_3_4_16": (39, 44)}
+
+
+@pytest.mark.parametrize("name", sorted(FSC_CASES))
+def test_fsc_case_reaches_the_fft_check(name, monkeypatch):
+    outcomes = []
+    check = fsc._fft_accept
+
+    def recording(draws):
+        outcomes.append(check(draws))
+        return outcomes[-1]
+
+    monkeypatch.setattr(fsc, "_fft_accept", recording)
+    assert run_fsc_case(name) == golden_path(name).read_bytes()
+    assert (outcomes.count(True), outcomes.count(False)) == FSC_FFT_CHECKS[name]
 
 
 def test_rescue_case_adopts_rescue_candidates(monkeypatch):

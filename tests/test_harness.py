@@ -282,6 +282,34 @@ def test_noise_variance_accounting():
     )
 
 
+@pytest.mark.parametrize(
+    "fields, builds",
+    [
+        ({}, 1),
+        ({"normalize_block_power": True}, 1),
+        ({"scheme": "lower_bound_perfect_pattern"}, 1),
+        ({"scheme": "classical_mmse"}, 0),
+    ],
+)
+def test_config_builds_its_alphabets_once(fields, builds, monkeypatch):
+    counts = {"data": 0, "pilot": 0}
+
+    def counting(name, build):
+        def wrapper(*args):
+            counts[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in counts:
+        attr = f"build_{name}_alphabet"
+        monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
+    cfg = SystemConfig(**fields)
+    assert counts == {"data": builds, "pilot": builds}
+    replace(cfg, gamma=2.0)
+    assert counts == {"data": 2 * builds, "pilot": 2 * builds}
+
+
 def test_spectral_efficiency_per_scheme():
     cfg = quiet_config()
     assert replace(cfg, scheme="proposed_turbo").spectral_efficiency() == 2.125
