@@ -156,6 +156,8 @@ def _dispatch(args) -> int:
         lines += [f"{g:.9g},{b:.9g},{w:.9g}" for g, b, w in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif args.command == "fsc":
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         geometry = FscGeometry(
             block_length=args.block_length,
             cir_length=args.cir_length,

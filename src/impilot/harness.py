@@ -22,7 +22,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -228,7 +228,8 @@ class SystemConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self._check_size()
-        self._check_linear_range(self._check_runnable())
+        self._check_runnable()
+        self._check_linear_range()
 
     def _frame_size(self) -> tuple[int, int]:
         """What one frame adds to a lockstep stack: the samples it draws,
@@ -264,12 +265,11 @@ class SystemConfig:
                 f"distances per block step, over the cap of {_MAX_STEP_DISTANCES}"
             )
 
-    def _check_runnable(self) -> tuple[Constellation, Constellation] | None:
+    def _check_runnable(self) -> None:
         """Reject the scheme/geometry/alphabet combinations that would hang
         or fail mid-run: every least-squares fit of the two channel entries
-        needs two pilots whose values are not all on one line.  Returns the
-        alphabets of a flexible scheme, built once for the checks after it,
-        and None for a classical one."""
+        needs two pilots whose values are not all on one line.  A flexible
+        scheme's alphabets are built here, the one build of this config."""
         g = self.geometry
         if self.classical:
             if g.preamble_length < 2:
@@ -277,7 +277,7 @@ class SystemConfig:
                     f"geometry.preamble_length must be >= 2 for {self.scheme}, "
                     f"got {g.preamble_length}"
                 )
-            return None
+            return
         if g.init_preamble_length < 2:
             raise ValueError(
                 f"geometry.init_preamble_length must be >= 2 for {self.scheme}, "
@@ -289,7 +289,7 @@ class SystemConfig:
                 "never give the [p, conj(p)] fit rank two"
             )
         try:
-            alphabets = self.alphabets()
+            self.alphabets()
         except ValueError as err:
             raise ValueError(
                 f"gamma={self.gamma} with pilot_order={self.pilot_order}: {err}"
@@ -307,22 +307,18 @@ class SystemConfig:
                 "geometry.subblocks * geometry.pilots_per_subblock must be >= 2 "
                 f"for {self.scheme}, got {g.pilots_per_block}"
             )
-        return alphabets
 
-    def _check_linear_range(self, alphabets) -> None:
+    def _check_linear_range(self) -> None:
         """Reject fields whose derived linear quantities leave
-        ``_LINEAR_RANGE``, where a run would overflow or divide by zero.
-        ``alphabets`` is what :meth:`_check_runnable` returned."""
+        ``_LINEAR_RANGE``, where a run would overflow or divide by zero."""
         checks = [
             ("distortion_level_db", "distortion level", lambda: self.distortion_level),
             ("path_gain and amplitude_imbalance", "power gain", lambda: self.power_gain),
         ]
-        if alphabets is not None:
-            checks.append(("gamma", "pilot power", lambda: alphabets[1].average_power))
-        # first called once the checks above pass
-        variance = cache(lambda: self._noise_variance(alphabets))
+        if not self.classical:
+            checks.append(("gamma", "pilot power", lambda: self.alphabets()[1].average_power))
         checks += [
-            (f"ebn0_db {v:g}", "noise variance", lambda v=v: variance()(v))
+            (f"ebn0_db {v:g}", "noise variance", lambda v=v: self.noise_variance_for(v))
             for v in self.ebn0_db
         ]
         low, high = _LINEAR_RANGE
@@ -390,6 +386,13 @@ class SystemConfig:
         return self.path_gain**2 * (abs(tx.direct_coeff) ** 2 + abs(tx.image_coeff) ** 2)
 
     def alphabets(self) -> tuple[Constellation, Constellation]:
+        """The data and pilot alphabets, built once per config (a classical
+        scheme's only when asked) and kept outside its fields, so a pickled
+        config carries them to the pool workers."""
+        return self._alphabets
+
+    @cached_property
+    def _alphabets(self) -> tuple[Constellation, Constellation]:
         data = build_data_alphabet(self.data_order)
         pilot = build_pilot_alphabet(self.pilot_order, self.gamma, data)
         if self.normalize_block_power:
@@ -411,18 +414,9 @@ class SystemConfig:
 
     def noise_variance_for(self, ebn0_db: float) -> float:
         """Thermal noise variance realizing the requested per-bit SNR, with
-        average received power power_gain * P_t."""
-        return self._noise_variance()(ebn0_db)
-
-    def _noise_variance(self, alphabets=None):
-        """:meth:`noise_variance_for` as a function, with the alphabets built
-        once, or taken from ``alphabets`` when it is given."""
-        if alphabets is None:
-            power = self.transmit_power()
-        else:
-            power = self.geometry.average_power(*alphabets)
-        received, efficiency = self.power_gain * power, self.spectral_efficiency()
-        return lambda ebn0_db: received / (efficiency * 10.0 ** (ebn0_db / 10.0))
+        average received power power_gain * P_t from :meth:`alphabets`."""
+        received = self.power_gain * self.transmit_power()
+        return received / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
 
 
 def _spans_both_axes(values) -> np.ndarray:
@@ -515,7 +509,9 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     ``frame_keys`` holds one ``(point, trial)`` pair per frame: the index of
     its SNR point in ``config.ebn0_db`` and its trial number there.  Frames
     of different points may share a stack; each row takes its own point's
-    noise variance.
+    noise variance.  Both read the config's one build of its alphabets,
+    which travels with it to each worker; a classical scheme builds only its
+    data alphabet.
 
     Each frame draws from its own stream, seeded by the master seed and its
     ``(point, trial)`` pair, in a fixed order: at the start of the frame,
@@ -556,7 +552,7 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     ]
     g = config.geometry
     tx = config.tx_impairments()
-    variances = np.array(list(map(config._noise_variance(), config.ebn0_db)))[points]
+    variances = np.array(list(map(config.noise_variance_for, config.ebn0_db)))[points]
     rx = RxImpairments(distortion_level=config.distortion_level, noise_variance=variances)
     scheme = config.scheme
     classical = config.classical

@@ -169,6 +169,8 @@ def test_gamma_sweep_subcommand(tmp_path):
         (["ber", "--config", "{tmp}/huge_order.json", "--scheme", "classical_ls"], "data_order"),
         (["ber", "--config", "{tmp}/huge_pilot_order.json"], "pilot_order"),
         (["fsc", "--block-length", "400000000", "--trials", "1"], "block_length"),
+        # numpy's own message named no option
+        (["fsc", "--seed", "-1"], "seed"),
     ],
 )
 def test_invalid_arguments_exit_2_without_output(argv, message, tmp_path, capsys):

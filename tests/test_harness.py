@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -31,6 +32,7 @@ from impilot.im_codec import BlockGeometry
 from impilot.rx_classical import _LsPilotPart, _pilot_terms
 
 SMALL = BlockGeometry(blocks_per_frame=20)
+TINY = BlockGeometry(block_length=16, blocks_per_frame=2)
 
 
 def quiet_config(**overrides):
@@ -291,7 +293,7 @@ def test_noise_variance_accounting():
         ({"scheme": "classical_mmse"}, 0),
     ],
 )
-def test_config_builds_its_alphabets_once(fields, builds, monkeypatch):
+def test_config_builds_its_alphabets_once(fields, builds, monkeypatch, serial_pool):
     counts = {"data": 0, "pilot": 0}
 
     def counting(name, build):
@@ -304,10 +306,52 @@ def test_config_builds_its_alphabets_once(fields, builds, monkeypatch):
     for name in counts:
         attr = f"build_{name}_alphabet"
         monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
-    cfg = SystemConfig(**fields)
+    run = dict(geometry=TINY, trials=2, ebn0_db=(10.0,), min_bit_errors=0)
+    cfg = SystemConfig(**fields, **run)
     assert counts == {"data": builds, "pilot": builds}
     replace(cfg, gamma=2.0)
     assert counts == {"data": 2 * builds, "pilot": 2 * builds}
+    # the frame loop reads the one build, as one chunk and as two
+    run_experiment(cfg)
+    run_experiment(cfg, workers=2)
+    assert serial_pool.chunks == [[[(0, 0)], [(0, 1)]]]
+    if builds:
+        assert counts == {"data": 2, "pilot": 2}
+    else:
+        # a classical frame builds its data alphabet, never the pilot one
+        assert counts["pilot"] == 0
+
+
+@pytest.mark.parametrize("scheme", ["classical_ls", "classical_mmse"])
+def test_classical_config_never_builds_its_pilot_alphabet(scheme):
+    # these alphabets collide, which only a flexible scheme would notice
+    cfg = SystemConfig(
+        scheme=scheme, data_order=2, pilot_order=4, gamma=1.0, geometry=TINY,
+        trials=1, ebn0_db=(10.0,),
+    )
+    (point,) = run_experiment(cfg).points
+    assert point.frames == 1
+    with pytest.raises(ValueError, match="intersects"):
+        cfg.alphabets()
+
+
+def test_alphabet_cache_stays_out_of_the_config_identity():
+    fields = dict(geometry=TINY, trials=2, ebn0_db=(4.0, 10.0), min_bit_errors=0)
+    used, fresh = SystemConfig(**fields), SystemConfig(**fields)
+    used.alphabets()
+    run_experiment(used)
+    assert used.to_dict() == fresh.to_dict()
+    assert used.config_hash() == fresh.config_hash()
+    assert used == fresh and hash(used) == hash(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used
+    variances = [used.noise_variance_for(v) for v in used.ebn0_db]
+    assert [clone.noise_variance_for(v) for v in clone.ebn0_db] == variances
+    assert [fresh.noise_variance_for(v) for v in fresh.ebn0_db] == variances
+    # replace builds the new config's own alphabets
+    pilot = replace(used, gamma=2.0).alphabets()[1]
+    assert pilot.average_power == pytest.approx(2.0)
+    assert used.alphabets()[1].average_power == pytest.approx(4.0)
 
 
 def test_spectral_efficiency_per_scheme():
@@ -396,13 +440,16 @@ def test_same_seed_reproduces_csv_bytes(tmp_path):
 def test_worker_count_does_not_change_results(tmp_path):
     # batches of 5 and 2 frames, cut into uneven chunks for 2 and 3 workers
     cfg = quiet_config(trials=7, batch_frames=5, ebn0_db=(2.0, 10.0), dnp_mode="refresh")
-    outputs = []
-    for workers in (1, 2, 3):
-        path = tmp_path / f"workers{workers}.csv"
-        write_csv(run_experiment(cfg, workers=workers), path)
-        outputs.append(path.read_bytes())
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    # scaled alphabets, which reach the workers pickled inside the config
+    scaled = replace(cfg, data_order=16, pilot_order=8, normalize_block_power=True)
+    for name, config in (("default", cfg), ("scaled", scaled)):
+        outputs = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"{name}_workers{workers}.csv"
+            write_csv(run_experiment(config, workers=workers), path)
+            outputs.append(path.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 @pytest.mark.parametrize("workers", [2.5, 3.0, True, False, "2", None])
