@@ -387,8 +387,7 @@ class SystemConfig:
 
     def alphabets(self) -> tuple[Constellation, Constellation]:
         """The data and pilot alphabets, built once per config (a classical
-        scheme's only when asked) and kept outside its fields, so a pickled
-        config carries them to the pool workers."""
+        scheme's only when asked); a pickled config carries them to the workers."""
         return self._alphabets
 
     @cached_property
@@ -412,11 +411,15 @@ class SystemConfig:
             return 1.0
         return self.geometry.average_power(*self.alphabets())
 
+    @cached_property
+    def _received_power(self) -> float:
+        return self.power_gain * self.transmit_power()
+
     def noise_variance_for(self, ebn0_db: float) -> float:
         """Thermal noise variance realizing the requested per-bit SNR, with
-        average received power power_gain * P_t from :meth:`alphabets`."""
-        received = self.power_gain * self.transmit_power()
-        return received / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
+        average received power power_gain * P_t, worked out once per config
+        from the one build of its alphabets that travels with it."""
+        return self._received_power / (self.spectral_efficiency() * 10.0 ** (ebn0_db / 10.0))
 
 
 def _spans_both_axes(values) -> np.ndarray:
@@ -509,9 +512,8 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     ``frame_keys`` holds one ``(point, trial)`` pair per frame: the index of
     its SNR point in ``config.ebn0_db`` and its trial number there.  Frames
     of different points may share a stack; each row takes its own point's
-    noise variance.  Both read the config's one build of its alphabets,
-    which travels with it to each worker; a classical scheme builds only its
-    data alphabet.
+    noise variance.  Rows and variances read the config's one build of
+    its alphabets, which travels with it to each worker.
 
     Each frame draws from its own stream, seeded by the master seed and its
     ``(point, trial)`` pair, in a fixed order: at the start of the frame,

@@ -316,7 +316,7 @@ def test_config_builds_its_alphabets_once(fields, builds, monkeypatch, serial_po
     run_experiment(cfg, workers=2)
     assert serial_pool.chunks == [[[(0, 0)], [(0, 1)]]]
     if builds:
-        assert counts == {"data": 2, "pilot": 2}
+        assert counts == {"data": 2 * builds, "pilot": 2 * builds}
     else:
         # a classical frame builds its data alphabet, never the pilot one
         assert counts["pilot"] == 0
@@ -335,7 +335,7 @@ def test_classical_config_never_builds_its_pilot_alphabet(scheme):
         cfg.alphabets()
 
 
-def test_alphabet_cache_stays_out_of_the_config_identity():
+def test_alphabet_cache_stays_out_of_the_config_identity(monkeypatch):
     fields = dict(geometry=TINY, trials=2, ebn0_db=(4.0, 10.0), min_bit_errors=0)
     used, fresh = SystemConfig(**fields), SystemConfig(**fields)
     used.alphabets()
@@ -343,11 +343,15 @@ def test_alphabet_cache_stays_out_of_the_config_identity():
     assert used.to_dict() == fresh.to_dict()
     assert used.config_hash() == fresh.config_hash()
     assert used == fresh and hash(used) == hash(fresh)
+    variances = [used.noise_variance_for(v) for v in used.ebn0_db]
+    assert [fresh.noise_variance_for(v) for v in fresh.ebn0_db] == variances
     clone = pickle.loads(pickle.dumps(used))
     assert clone == used
-    variances = [used.noise_variance_for(v) for v in used.ebn0_db]
-    assert [clone.noise_variance_for(v) for v in clone.ebn0_db] == variances
-    assert [fresh.noise_variance_for(v) for v in fresh.ebn0_db] == variances
+    # the clone reads the build it was pickled with, as a pool worker does
+    with monkeypatch.context() as patch:
+        for name in ("build_data_alphabet", "build_pilot_alphabet"):
+            patch.setattr(harness, name, None)
+        assert [clone.noise_variance_for(v) for v in clone.ebn0_db] == variances
     # replace builds the new config's own alphabets
     pilot = replace(used, gamma=2.0).alphabets()[1]
     assert pilot.average_power == pytest.approx(2.0)
