@@ -53,10 +53,7 @@ class Constellation:
         bits = bits.astype(np.uint8)
         bits.setflags(write=False)
         self.label_bits = bits          # (order, bits_per_symbol)
-
-    @property
-    def average_power(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
+        self.average_power = float(np.mean(np.abs(points) ** 2))
 
     def __len__(self):
         return self.order

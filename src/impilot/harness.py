@@ -48,6 +48,7 @@ from .im_codec import (  # noqa: F401
     _check_integer_fields,
     assemble_block,
     assemble_blocks,
+    pattern_positions,
     se_conventional,
     se_proposed,
 )
@@ -268,8 +269,8 @@ class SystemConfig:
     def _check_runnable(self) -> None:
         """Reject the scheme/geometry/alphabet combinations that would hang
         or fail mid-run: every least-squares fit of the two channel entries
-        needs two pilots whose values are not all on one line.  A flexible
-        scheme's alphabets are built here, the one build of this config."""
+        needs two pilots whose values are not all on one line.  The config's
+        one build of its alphabets is made here (a classical scheme's data one)."""
         g = self.geometry
         if self.classical:
             if g.preamble_length < 2:
@@ -277,6 +278,7 @@ class SystemConfig:
                     f"geometry.preamble_length must be >= 2 for {self.scheme}, "
                     f"got {g.preamble_length}"
                 )
+            self._data_alphabet
             return
         if g.init_preamble_length < 2:
             raise ValueError(
@@ -387,12 +389,16 @@ class SystemConfig:
 
     def alphabets(self) -> tuple[Constellation, Constellation]:
         """The data and pilot alphabets, built once per config (a classical
-        scheme's only when asked); a pickled config carries them to the workers."""
+        scheme's pilot one only when asked); a pickled config carries them to the workers."""
         return self._alphabets
 
     @cached_property
+    def _data_alphabet(self) -> Constellation:
+        return build_data_alphabet(self.data_order)
+
+    @cached_property
     def _alphabets(self) -> tuple[Constellation, Constellation]:
-        data = build_data_alphabet(self.data_order)
+        data = self._data_alphabet
         pilot = build_pilot_alphabet(self.pilot_order, self.gamma, data)
         if self.normalize_block_power:
             power = self.geometry.average_power(data, pilot)
@@ -565,11 +571,10 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
     # one block once the frames alone fill that.
     group = max(1, min(_STEP_ROWS, config._max_stack_frames()) // max(frames, 1))
     if classical:
-        data_const = build_data_alphabet(config.data_order)
+        data_const = config._data_alphabet
         pilots = _unit_preamble(g.preamble_length)
     else:
         data_const, pilot_const = config.alphabets()
-        offsets = np.arange(g.subblocks)[:, None] * g.subblock_length
     if scheme == "classical_mmse":
         prior = _mmse_prior(config)
         dnp = config.distortion_level * config.power_gain + variances
@@ -664,11 +669,8 @@ def _simulate_frames(config: SystemConfig, frame_keys) -> tuple[np.ndarray, np.n
             if classical:
                 received, data = y[:, : g.preamble_length], y[:, g.preamble_length :]
             else:
-                positions = (true_pattern + offsets).reshape(stack, -1)
-                received = np.take_along_axis(y, positions, axis=1)
-                is_data = np.ones(y.shape, dtype=bool)
-                np.put_along_axis(is_data, positions, False, axis=1)
-                data = y[is_data].reshape(stack, -1)
+                positions = pattern_positions(true_pattern, g.subblock_length)
+                received, data = (np.take_along_axis(y, at, axis=1) for at in positions)
             if scheme == "classical_mmse":
                 h_hat = mmse_estimate(pilots, received, np.repeat(dnp, n), prior)
             else:

@@ -25,6 +25,7 @@ __all__ = [
     "rank_indices",
     "assemble_block",
     "assemble_blocks",
+    "pattern_positions",
     "demap_patterns",
     "se_conventional",
     "se_proposed",
@@ -240,16 +241,27 @@ def assemble_blocks(
         1 << np.arange(bits - 1, -1, -1)
     )
     pattern = _offsets_of_words(words, geometry.subblock_length, geometry.pilots_per_subblock)
-    positions = (
-        pattern + np.arange(geometry.subblocks)[:, None] * geometry.subblock_length
-    ).reshape(rows, -1)
+    pilot_at, data_at = pattern_positions(pattern, geometry.subblock_length)
+    data = map_bits_array(symbol_bits, data_alphabet).reshape(data_at.shape)
 
     symbols = np.empty((rows, geometry.block_length), dtype=complex)
-    pilot_mask = np.zeros((rows, geometry.block_length), dtype=bool)
-    np.put_along_axis(pilot_mask, positions, True, axis=1)
-    np.put_along_axis(symbols, positions, pilot_symbols, axis=1)
-    symbols[~pilot_mask] = map_bits_array(symbol_bits.reshape(-1), data_alphabet)
+    np.put_along_axis(symbols, pilot_at, pilot_symbols, axis=1)
+    np.put_along_axis(symbols, data_at, data, axis=1)
     return symbols, pattern
+
+
+def pattern_positions(pattern, subblock_length: int):
+    """Pilot positions (..., pilots_per_block) and data positions (...,
+    data_per_block) in the block, each ascending, of sorted 0-based patterns
+    (..., subblocks, pilots).  A subblock's j-th data position is j plus the
+    number of its pilots p_k (k-th smallest, from 0) with p_k - k <= j."""
+    pattern = np.asarray(pattern)
+    *lead, subblocks, pilots = pattern.shape
+    starts = np.arange(subblocks)[:, None] * subblock_length
+    rank = np.arange(subblock_length - pilots)
+    data_at = ((pattern - np.arange(pilots))[..., None] <= rank).sum(axis=-2)
+    data_at += rank + starts
+    return tuple(p.reshape(*lead, subblocks * p.shape[-1]) for p in (pattern + starts, data_at))
 
 
 def demap_patterns(pattern, subblock_length: int):

@@ -30,9 +30,10 @@ least-squares fit (:class:`impilot.rx_classical._LsPilotPart`, the one
 solver) and the rows' noise and prior terms.  Inside the iteration the live
 rows' inputs are taken again only when rows leave.  Every whole pattern, the
 settled one, its cycle mate or a rescue source, is scored by one step: one
-gather of its pilot and data samples, its fit over all pilots (and, in the
-rescue, its leave-one-pilot-out refits) and the block's residual under each
-fit.  Choosing the better phase of an oscillation and adopting a rescue
+gather of its samples at the pilot and data positions of
+:func:`impilot.im_codec.pattern_positions`, its fit over all pilots (and, in
+the rescue, its leave-one-pilot-out refits) and the block's residual under
+each fit.  Choosing the better phase of an oscillation and adopting a rescue
 candidate are then one rule with two margins.
 """
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .im_codec import BlockGeometry, demap_patterns
+from .im_codec import BlockGeometry, demap_patterns, pattern_positions
 from .impairments import RxImpairments
 from .rx_classical import _LsPilotPart, _pilot_terms, _received_terms, detect_symbols
 
@@ -284,7 +285,6 @@ def turbo_receive_frames(
     n_sub = geometry.subblocks
     sub_len = geometry.subblock_length
     per_sub = geometry.pilots_per_subblock
-    n_pilots, n_data = geometry.pilots_per_block, geometry.data_per_block
 
     y = np.asarray(received, dtype=complex).reshape(-1, n_sub, sub_len)
     frames = y.shape[0]
@@ -292,10 +292,9 @@ def turbo_receive_frames(
     flat_pilots = pvals.reshape(frames, -1)
     prior = np.asarray(prior_estimates, dtype=complex).reshape(frames, 2)
     y_flat = y.reshape(frames, -1)
-    offsets = np.arange(n_sub)[:, None] * sub_len
-    # Flat index of each subblock's first sample, per frame: a pattern's
-    # samples are y_flat.flat[starts[rows] + pattern].
-    starts = np.arange(frames)[:, None, None] * geometry.block_length + offsets
+    # Flat index of each subblock's first sample, per frame: a pattern's samples
+    # are y_flat.flat[starts[rows] + pattern]; starts[rows, :1] is a row's first.
+    starts = np.arange(frames * n_sub).reshape(frames, n_sub, 1) * sub_len
 
     # One noise variance per row, so that a row subset takes its own.
     noise = np.broadcast_to(np.asarray(rx.noise_variance, dtype=float), (frames,))
@@ -308,7 +307,7 @@ def turbo_receive_frames(
     # patterns, one over all of a row's pilots and the rescue's refits, each
     # without one pilot.
     extrinsic = _LsPilotPart.from_terms(*_leave_own_out(_pilot_terms(pvals)))
-    n_refits = n_pilots if n_pilots > 3 else 0
+    n_refits = geometry.pilots_per_block if geometry.pilots_per_block > 3 else 0
     fit_part = _LsPilotPart.from_terms(
         *_with_each_left_out(_pilot_terms(flat_pilots[..., None]), n_refits)
     )
@@ -398,19 +397,6 @@ def turbo_receive_frames(
         fallbacks[rows] += iterations * extrinsic_fallbacks[rows]
         return pattern, iterations, converged, oscillating, cycle_mate
 
-    # A subblock's j-th data position is j plus the number of its pilots p_k
-    # (k-th smallest, from 0) with p_k - k <= j, for sorted patterns.
-    data_rank = np.arange(sub_len - per_sub)
-    pilot_rank = np.arange(per_sub)
-
-    def data_samples(rows, patterns):
-        """The samples at each pattern's data positions, in block order:
-        (rows, sources, data_per_block) for patterns (rows, sources,
-        subblocks, pilots)."""
-        before = np.count_nonzero((patterns - pilot_rank)[..., None] <= data_rank, axis=-2)
-        index = starts[rows][:, None] + data_rank + before
-        return y_flat.flat[index].reshape(patterns.shape[:2] + (n_data,))
-
     def candidates(rows, patterns, refits):
         """Candidate (pattern, estimate) pairs of ``rows`` and the squared
         residual of the block under each, with data positions explained by
@@ -424,8 +410,8 @@ def turbo_receive_frames(
         Returns the estimates (rows, sources, 1 + refits, 2), their
         residuals (rows, sources, 1 + refits) and each source's data samples
         (rows, sources, data_per_block)."""
-        index = starts[rows].reshape(rows.size, 1, n_sub, 1) + patterns
-        samples = y_flat.flat[index].reshape(patterns.shape[:2] + (n_pilots,))
+        first = starts[rows, :1]
+        samples, y_data = (y_flat.flat[first + at] for at in pattern_positions(patterns, sub_len))
         values = flat_pilots[rows][:, None]
         pairs = _received_terms(values[..., None], samples[..., None])
         part = fit_part.take((rows[:, None], slice(refits + 1)))
@@ -433,7 +419,6 @@ def turbo_receive_frames(
         h0, h1 = estimates[..., :1], estimates[..., 1:]
         pilot_model = values[..., None, :] * h0 + np.conj(values[..., None, :]) * h1
         residual = np.sum(np.abs(samples[:, :, None] - pilot_model) ** 2, axis=-1)
-        y_data = data_samples(rows, patterns)
         # Nearest data candidate, one alphabet point at a time, which keeps
         # the temporaries at (rows, sources, fits, data samples).
         points = data_alphabet.points[:, None, None, None, None]

@@ -11,7 +11,9 @@ where the consistency screen fires and its rescue candidates get adopted
 (``test_rescue_case_adopts_rescue_candidates`` checks that they do).  The
 ``proposed_turbo_rescue_oscillating`` case runs 20 blocks per frame, where
 the rescue's second pass also oscillates and rows adopt a candidate from
-its other phase.  The next two cases cover index demapping: undecodable
+its other phase.  The ``lower_bound_perfect_pattern_3_pilots`` case puts
+three pilots in each subblock, so the genie takes its pilot and data samples
+from several positions per subblock.  The next two cases cover index demapping: undecodable
 position sets, and the fixed table for two pilots in four positions.  The two ``early_stop`` cases
 sweep five points whose error target stops them after one, two or three
 batches, so they pin which frames each point runs when points drop out of
@@ -67,6 +69,17 @@ CASES = {
     "classical_mmse": SystemConfig(scheme="classical_mmse", **_COMMON),
     "lower_bound_perfect_pattern": SystemConfig(
         scheme="lower_bound_perfect_pattern", **_COMMON
+    ),
+    # Three pilots in each 16-sample subblock: the genie gathers pilots and
+    # data from several positions per subblock.
+    "lower_bound_perfect_pattern_3_pilots": SystemConfig(
+        scheme="lower_bound_perfect_pattern",
+        **{
+            **_COMMON,
+            "geometry": BlockGeometry(
+                block_length=64, subblocks=4, pilots_per_subblock=3, blocks_per_frame=10
+            ),
+        },
     ),
     "proposed_turbo_rescue": SystemConfig(
         scheme="proposed_turbo",

@@ -285,15 +285,16 @@ def test_noise_variance_accounting():
 
 
 @pytest.mark.parametrize(
-    "fields, builds",
+    "fields, pilot_builds",
     [
         ({}, 1),
         ({"normalize_block_power": True}, 1),
         ({"scheme": "lower_bound_perfect_pattern"}, 1),
+        # a classical config builds its data alphabet, never the pilot one
         ({"scheme": "classical_mmse"}, 0),
     ],
 )
-def test_config_builds_its_alphabets_once(fields, builds, monkeypatch, serial_pool):
+def test_config_builds_its_alphabets_once(fields, pilot_builds, monkeypatch, serial_pool):
     counts = {"data": 0, "pilot": 0}
 
     def counting(name, build):
@@ -308,18 +309,14 @@ def test_config_builds_its_alphabets_once(fields, builds, monkeypatch, serial_po
         monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
     run = dict(geometry=TINY, trials=2, ebn0_db=(10.0,), min_bit_errors=0)
     cfg = SystemConfig(**fields, **run)
-    assert counts == {"data": builds, "pilot": builds}
+    assert counts == {"data": 1, "pilot": pilot_builds}
     replace(cfg, gamma=2.0)
-    assert counts == {"data": 2 * builds, "pilot": 2 * builds}
+    assert counts == {"data": 2, "pilot": 2 * pilot_builds}
     # the frame loop reads the one build, as one chunk and as two
     run_experiment(cfg)
     run_experiment(cfg, workers=2)
     assert serial_pool.chunks == [[[(0, 0)], [(0, 1)]]]
-    if builds:
-        assert counts == {"data": 2 * builds, "pilot": 2 * builds}
-    else:
-        # a classical frame builds its data alphabet, never the pilot one
-        assert counts["pilot"] == 0
+    assert counts == {"data": 2, "pilot": 2 * pilot_builds}
 
 
 @pytest.mark.parametrize("scheme", ["classical_ls", "classical_mmse"])

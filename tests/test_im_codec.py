@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impilot.constellation import build_data_alphabet, build_pilot_alphabet
+from impilot.constellation import build_data_alphabet, build_pilot_alphabet, map_bits_array
 from impilot.im_codec import (
     BlockGeometry,
     UnmappedPatternError,
@@ -13,6 +13,7 @@ from impilot.im_codec import (
     assemble_blocks,
     demap_patterns,
     index_bits_per_subblock,
+    pattern_positions,
     rank_indices,
     se_conventional,
     se_fsc,
@@ -319,3 +320,39 @@ def test_demap_patterns_inverts_stacked_assembly(geometry):
 @given(geometry=geometries(), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_demap_patterns_inverts_stacked_assembly_for_any_geometry(geometry, rows, seed):
     _check_demap_round_trip(geometry, rows, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    geometry=st.one_of(
+        # two pilots in four positions use the fixed table
+        st.just(BlockGeometry(16, 4, 2, preamble_length=1)),
+        geometries(),
+    ),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pattern_positions_split_each_block_into_pilots_and_data(geometry, rows, seed):
+    rng = np.random.default_rng(seed)
+    data = build_data_alphabet(4)
+    pilots = build_pilot_alphabet(4, 4.0).points
+    index_bits = rng.integers(0, 2, (rows, geometry.index_bits_per_block))
+    symbol_bits = rng.integers(0, 2, (rows, geometry.symbol_bits_per_block(4)))
+    values = pilots[rng.integers(0, 4, (rows, geometry.pilots_per_block))]
+    symbols, pattern = assemble_blocks(index_bits, symbol_bits, values, geometry, data)
+    pilot_at, data_at = pattern_positions(pattern, geometry.subblock_length)
+    # disjoint, and together every position of the block
+    every = np.sort(np.concatenate([pilot_at, data_at], axis=1), axis=1)
+    assert np.array_equal(every, np.tile(np.arange(geometry.block_length), (rows, 1)))
+    per_sub = geometry.pilots_per_subblock
+    for positions, width in ((pilot_at, per_sub), (data_at, geometry.subblock_length - per_sub)):
+        assert positions.shape == (rows, geometry.subblocks * width)
+        # each subblock's own positions, ascending
+        subblock = positions.reshape(rows, geometry.subblocks, width) // geometry.subblock_length
+        assert (subblock == np.arange(geometry.subblocks)[:, None]).all()
+        assert (np.diff(positions, axis=1) > 0).all()
+    assert np.array_equal(np.take_along_axis(symbols, pilot_at, axis=1), values)
+    assert np.array_equal(
+        np.take_along_axis(symbols, data_at, axis=1),
+        map_bits_array(symbol_bits.reshape(-1), data).reshape(rows, -1),
+    )
